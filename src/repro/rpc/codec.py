@@ -21,7 +21,15 @@ and the tagged path remains the transparent fallback:
   (extended struct values, out-of-range ints, dynamic content) — this
   is exactly the paper's dynamic-marshalling escape hatch;
 * decode falls back whenever the body is tagged, so compiled-codec
-  peers interoperate with peers that never negotiated.
+  peers interoperate with peers that never negotiated;
+* a server replies compiled only to a call whose body arrived compiled
+  (the caller proved it holds the layouts); every other caller gets a
+  tagged reply, so a peer without the layout never sees a compiled body.
+
+A layout may embed ``("any",)`` leaves: a tagged sub-value (with the
+tagged codec's depth and truncation bounds) inside a positional body,
+which is how records with one dynamic field — an offer's properties —
+still ride the compiled lane.
 
 Hits and fallbacks are counted per direction in the metrics registry
 (``rpc.codec.compiled_hits`` / ``rpc.codec.fallback``); the telemetry
@@ -37,7 +45,12 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.rpc.errors import XdrError, XdrTruncated
-from repro.rpc.xdr import decode_value, encode_value
+from repro.rpc.xdr import (
+    decode_value,
+    decode_value_at,
+    encode_value,
+    encode_value_into,
+)
 from repro.telemetry.metrics import METRICS
 
 __all__ = [
@@ -127,6 +140,8 @@ def _compile(spec: tuple) -> Tuple[_Encoder, _Decoder]:
         return _compile_seq(spec[1])
     if kind == "void":
         return _compile_void()
+    if kind == "any":
+        return _compile_any()
     raise ConfigurationError(f"unknown layout spec kind {kind!r}")
 
 
@@ -346,7 +361,9 @@ def _compile_seq(element: tuple) -> Tuple[_Encoder, _Decoder]:
             raise XdrTruncated(f"truncated sequence count at offset {offset}")
         (count,) = _U32.unpack_from(view, offset)
         offset += 4
-        if count > len(view):
+        # Bounded by the bytes that remain after the count, not by the
+        # whole body: a forged count fails before any element is read.
+        if count > len(view) - offset:
             raise XdrError(
                 f"implausible sequence count {count} at offset {offset}"
             )
@@ -357,6 +374,18 @@ def _compile_seq(element: tuple) -> Tuple[_Encoder, _Decoder]:
         return items, offset
 
     return enc, dec
+
+
+def _compile_any() -> Tuple[_Encoder, _Decoder]:
+    """A tagged sub-value inside a positional body (``layout.any()``)."""
+
+    def enc(value: Any, out: List[bytes]) -> None:
+        try:
+            encode_value_into(value, out)
+        except XdrError:
+            raise CodecFallback("value cannot be marshalled")
+
+    return enc, decode_value_at
 
 
 def _compile_void() -> Tuple[_Encoder, _Decoder]:
@@ -518,8 +547,16 @@ class CodecRegistry:
     def decode_args(self, prog: int, vers: int, proc: int, body) -> Any:
         return self._decode(self.lookup(prog, vers, proc, "args"), body, "args")
 
-    def encode_result(self, prog: int, vers: int, proc: int, value: Any) -> bytes:
-        return self._encode(self.lookup(prog, vers, proc, "result"), value, "result")
+    def encode_result(
+        self, prog: int, vers: int, proc: int, value: Any, compiled: bool = True
+    ) -> bytes:
+        """A SUCCESS reply body; ``compiled=False`` forces the tagged form.
+
+        A server passes whether the call it answers arrived compiled:
+        only such a caller has proved it holds this procedure's layouts.
+        """
+        codec = self.lookup(prog, vers, proc, "result") if compiled else None
+        return self._encode(codec, value, "result")
 
     def decode_result(self, prog: int, vers: int, proc: int, body) -> Any:
         return self._decode(self.lookup(prog, vers, proc, "result"), body, "result")

@@ -36,7 +36,7 @@ from typing import Any, Callable, Dict, List, Optional, Set, Tuple, Union
 from repro.context import CallContext, SpanRecord, use_context
 from repro.errors import ConfigurationError
 from repro.net.endpoints import Address
-from repro.rpc.codec import CODECS
+from repro.rpc.codec import CODECS, is_compiled
 from repro.rpc.dispatch import dispatcher_for
 from repro.rpc.errors import XdrError
 from repro.rpc.message import ReplyStatus, RpcCall, RpcReply
@@ -607,7 +607,12 @@ class RpcServer:
     @staticmethod
     def _success_reply(call: RpcCall, result: Any) -> RpcReply:
         try:
-            body = CODECS.encode_result(call.prog, call.vers, call.proc, result)
+            # Per-peer safety: reply compiled only to a caller whose call
+            # arrived compiled — one without the layout gets tagged bytes.
+            body = CODECS.encode_result(
+                call.prog, call.vers, call.proc, result,
+                compiled=is_compiled(call.body),
+            )
         except XdrError as exc:
             return RpcServer._fault_reply(call.xid, exc)
         return RpcReply(call.xid, ReplyStatus.SUCCESS, body)

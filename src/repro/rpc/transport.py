@@ -134,6 +134,10 @@ class TcpTransport(Transport):
             conn = self._connections.get(destination)
         if conn is None:
             conn = socket.create_connection((destination.host, destination.port), timeout=5)
+            # The timeout bounds the connect only.  Left on, it would end
+            # the reader thread after 5 s of silence, and replies a peer
+            # sends back on this connection would be lost.
+            conn.settimeout(None)
             enable_nodelay(conn)
             # Announce who we are so replies can come back over a fresh
             # connection to our listener (datagram semantics, not stream).
@@ -142,7 +146,7 @@ class TcpTransport(Transport):
             with self._lock:
                 self._connections[destination] = conn
             threading.Thread(
-                target=self._read_loop, args=(conn, destination), daemon=True
+                target=self._read_outgoing, args=(conn, destination), daemon=True
             ).start()
         try:
             conn.sendall(frame)
@@ -205,6 +209,18 @@ class TcpTransport(Transport):
             return
         source = Address(peer[0], int(first.decode("ascii")))
         self._read_loop(conn, source, skip_hello=True)
+
+    def _read_outgoing(self, conn: socket.socket, destination: Address) -> None:
+        self._read_loop(conn, destination)
+        # The peer hung up: evict the connection so the next send
+        # reconnects instead of writing into a dead socket.
+        with self._lock:
+            if self._connections.get(destination) is conn:
+                del self._connections[destination]
+        try:
+            conn.close()
+        except OSError:
+            pass
 
     def _read_loop(self, conn: socket.socket, source: Address, skip_hello: bool = False) -> None:
         while not self._closed:

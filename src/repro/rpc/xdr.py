@@ -24,7 +24,7 @@ exhausting the interpreter's recursion limit.
 from __future__ import annotations
 
 import struct
-from typing import Any, Dict, List
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.net.endpoints import Address
 from repro.rpc.errors import XdrError, XdrTruncated
@@ -50,8 +50,8 @@ MAX_VALUE_DEPTH = 64
 class XdrEncoder:
     """Accumulates XDR primitives into a byte buffer."""
 
-    def __init__(self) -> None:
-        self._chunks: List[bytes] = []
+    def __init__(self, chunks: Optional[List[bytes]] = None) -> None:
+        self._chunks: List[bytes] = [] if chunks is None else chunks
 
     def getvalue(self) -> bytes:
         return b"".join(self._chunks)
@@ -99,10 +99,10 @@ class XdrDecoder:
     naming the offending offset.
     """
 
-    def __init__(self, data) -> None:
+    def __init__(self, data, offset: int = 0) -> None:
         self._view = memoryview(data)
         self._length = len(self._view)
-        self._offset = 0
+        self._offset = offset
 
     def remaining(self) -> int:
         return self._length - self._offset
@@ -184,7 +184,11 @@ class XdrDecoder:
         return data
 
     def unpack_string(self) -> str:
-        return self.unpack_opaque().decode("utf-8")
+        offset = self._offset
+        try:
+            return self.unpack_opaque().decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise XdrError(f"invalid UTF-8 at offset {offset}: {exc}")
 
 
 # -- tagged generic values -----------------------------------------------
@@ -211,6 +215,15 @@ def encode_value(value: Any) -> bytes:
     encoder = XdrEncoder()
     _encode_into(value, encoder)
     return encoder.getvalue()
+
+
+def encode_value_into(value: Any, chunks: List[bytes]) -> None:
+    """Append the tagged encoding of ``value`` to ``chunks``.
+
+    The compiled codec's ``any`` leaf: a self-describing sub-value
+    inside an otherwise positional body.
+    """
+    _encode_into(value, XdrEncoder(chunks))
 
 
 def _encode_into(value: Any, enc: XdrEncoder) -> None:
@@ -264,6 +277,17 @@ def decode_value(data: bytes) -> Any:
     if not decoder.done():
         raise XdrError(f"{decoder.remaining()} trailing bytes after value")
     return value
+
+
+def decode_value_at(data, offset: int) -> Tuple[Any, int]:
+    """Decode one tagged value starting at ``offset``; returns ``(value, end)``.
+
+    The same bounds as :func:`decode_value` — :data:`MAX_VALUE_DEPTH`
+    and truncation checks — without requiring the value to end the
+    buffer.
+    """
+    decoder = XdrDecoder(data, offset)
+    return _decode_from(decoder, 0), decoder.offset
 
 
 def _decode_from(dec: XdrDecoder, depth: int) -> Any:

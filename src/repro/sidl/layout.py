@@ -23,11 +23,14 @@ spec             meaning
 ``("struct", ((name, spec), ...))``  a dict with exactly these keys
 ``("optional", spec)``  ``None`` or a value: u32 presence flag + value
 ``("seq", spec)``  list of values: u32 count + elements
+``("any",)``     any marshallable value as a tagged sub-value
 ===============  =======================================================
 
-Types without a static layout (``any``, unions, service references,
-SIDs) have none — :func:`layout_for` raises :class:`SidlLayoutError`
-and the caller keeps the tagged path for that signature.
+SIDL ``any`` maps to the ``any`` leaf, and ``service_reference`` to the
+fixed record of :func:`service_ref` (the ``ServiceRef`` wire form).
+Types without a static layout (unions, SIDs) have none —
+:func:`layout_for` raises :class:`SidlLayoutError` and the caller keeps
+the tagged path for that signature.
 """
 
 from __future__ import annotations
@@ -36,6 +39,8 @@ from typing import Tuple
 
 from repro.sidl.errors import SidlError
 from repro.sidl.types import (
+    SERVICE_REF_WIRE_MARKER,
+    AnyType,
     BooleanType,
     EnumType,
     FloatType,
@@ -43,6 +48,7 @@ from repro.sidl.types import (
     OctetsType,
     OperationType,
     SequenceType,
+    ServiceReferenceType,
     SidlType,
     StringType,
     StructType,
@@ -98,14 +104,30 @@ def seq(element: Spec) -> Spec:
     return ("seq", element)
 
 
+def any() -> Spec:
+    return ("any",)
+
+
+def service_ref() -> Spec:
+    """The ``ServiceRef`` wire record, marker first (see ``ServiceRef.to_wire``)."""
+    return struct(
+        __cosm__=enum(SERVICE_REF_WIRE_MARKER),
+        service_id=string(),
+        name=string(),
+        host=string(),
+        port=i64(),
+        prog=i64(),
+        vers=i64(),
+    )
+
+
 # -- SIDL type -> spec ----------------------------------------------------
 
 def layout_for(sidl_type: SidlType) -> Spec:
     """The static layout spec of ``sidl_type``.
 
     Raises :class:`SidlLayoutError` for types whose values need the
-    self-describing tagged encoding (``any``, unions, service
-    references, SID values).
+    self-describing tagged encoding throughout (unions, SID values).
     """
     if isinstance(sidl_type, VoidType):
         return ("void",)
@@ -131,6 +153,10 @@ def layout_for(sidl_type: SidlType) -> Spec:
         )
     if isinstance(sidl_type, SequenceType):
         return ("seq", layout_for(sidl_type.element))
+    if isinstance(sidl_type, AnyType):
+        return ("any",)
+    if isinstance(sidl_type, ServiceReferenceType):
+        return service_ref()
     raise SidlLayoutError(
         f"{sidl_type.describe()} has no static layout; use dynamic marshalling"
     )

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from heapq import merge as _heap_merge
 from typing import (  # noqa: F401
@@ -233,6 +233,20 @@ class _SortedValues:
             upper = lower
 
 
+def _ranked(
+    sorted_values: _SortedValues, position: int, reverse: bool
+) -> Iterator[Tuple[Any, int, int, str]]:
+    """One type's sorted walk keyed for the cross-type merge.
+
+    A function, not an inline generator expression: the expression would
+    read the caller's loop variable ``position`` late, when every stream
+    has already been built, and cross-type ties would break on the last
+    type's position instead of each stream's own.
+    """
+    for value, seq, offer_id in sorted_values.walk(reverse):
+        yield (-value if reverse else value), position, seq, offer_id
+
+
 class OfferStore:
     """Offers indexed by id, by service type, and by property equality.
 
@@ -323,6 +337,9 @@ class OfferStore:
             self._unindex(existing)
             if existing.service_type != offer.service_type:
                 self._drop_from_type(existing)
+                # It joins the end of its new type: a fresh sequence keeps
+                # ``_order`` in step with per-type insertion order.
+                self._order.pop(offer.offer_id, None)
         self._by_id[offer.offer_id] = offer
         self._by_type.setdefault(offer.service_type, {})[offer.offer_id] = offer
         self._index(offer)
@@ -390,25 +407,47 @@ class OfferStore:
         METRICS.inc("offers.fallback_scans", (self._prefix,))
         return self.of_types(type_names)
 
+    def equality_bucket_size(
+        self, type_names: Iterable[str], equalities: Iterable[Tuple[str, Any]]
+    ) -> int:
+        """How many offers :meth:`candidates` returns for ``equalities``.
+
+        Exact, and O(bucket): the import planner weighs it against an
+        ordered walk before committing to either path.
+        """
+        equalities = list(equalities)
+        total = 0
+        for type_name in type_names:
+            per_type = self._by_type.get(type_name)
+            if per_type:
+                total += len(
+                    self._surviving(type_name, per_type, self._eq_bucket, equalities)
+                )
+        return total
+
+    def _surviving(self, type_name, per_type, bucket_for, conjuncts) -> Set[str]:
+        surviving: Set[str] = set()
+        for position, conjunct in enumerate(conjuncts):
+            bucket = bucket_for(type_name, per_type, conjunct)
+            surviving = bucket if position == 0 else surviving & bucket
+            if not surviving:
+                break
+        return surviving
+
     def _filter(self, type_names, bucket_for, conjuncts) -> List[ServiceOffer]:
         offers: List[ServiceOffer] = []
+        order = self._order
         for type_name in type_names:
             per_type = self._by_type.get(type_name)
             if not per_type:
                 continue
-            surviving: Optional[Set[str]] = None
-            for conjunct in conjuncts:
-                bucket = bucket_for(type_name, per_type, conjunct)
-                surviving = bucket if surviving is None else surviving & bucket
-                if not surviving:
-                    break
-            if surviving:
-                # _by_type preserves insertion order; keep it for determinism
-                offers.extend(
-                    offer
-                    for offer_id, offer in per_type.items()
-                    if offer_id in surviving
-                )
+            surviving = self._surviving(type_name, per_type, bucket_for, conjuncts)
+            # The store-wide sequence runs in per-type insertion order, so
+            # sorting the survivors keeps candidate order deterministic at
+            # O(bucket log bucket) instead of a walk over the whole type.
+            offers.extend(
+                per_type[offer_id] for offer_id in sorted(surviving, key=order.__getitem__)
+            )
         return offers
 
     def _eq_bucket(self, type_name, per_type, conjunct) -> Set[str]:
@@ -459,12 +498,7 @@ class OfferStore:
                 defined.append({})
                 continue
             defined.append(sorted_values.ids)
-            streams.append(
-                (
-                    ((-value if reverse else value), position, seq, offer_id)
-                    for value, seq, offer_id in sorted_values.walk(reverse)
-                )
-            )
+            streams.append(_ranked(sorted_values, position, reverse))
         for _value, _position, _seq, offer_id in _heap_merge(*streams):
             offer = self._by_id.get(offer_id)
             if offer is not None:

@@ -8,8 +8,9 @@ domain, and (via :mod:`repro.trader.federation`) links to peer traders.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Union
+from dataclasses import dataclass, field, replace
+from itertools import islice
+from typing import Any, Dict, Iterator, List, Optional, Union
 
 from repro.context import CallContext, Clock, current_context, use_context
 from repro.naming.refs import ServiceRef
@@ -19,7 +20,7 @@ from repro.rpc.codec import CODECS
 from repro.rpc.errors import DeadlineExceeded, ServerShedding
 from repro.rpc.server import RpcProgram, RpcServer
 from repro.rpc.transport import SimTransport
-from repro.sidl import layout
+from repro.sidl.builder import load_service_description
 from repro.telemetry.log import LOG
 from repro.telemetry.metrics import METRICS
 from repro.trader.constraints import parse_constraint
@@ -50,36 +51,65 @@ _PROC_LIST_OFFERS = 9
 _PROC_MASK_TYPE = 10
 _PROC_RENEW = 11
 
-# Compiled wire codecs for the trader procedures whose signatures the
-# SID pins down statically.  RENEW is the hot one — every exported offer
-# heartbeats it for its whole lifetime — and the management calls are
-# pure fixed-shape string traffic.  Procedures built on genuinely
-# dynamic values (IMPORT constraints, EXPORT/MODIFY property dicts,
-# type definitions) stay on the tagged path by simply not registering;
-# EXPORT registers its *result* (the offer id string) only.
-_OFFER_ID_ARGS = layout.struct(offer_id=layout.string())
-_NAME_ARGS = layout.struct(name=layout.string())
-CODECS.register(
-    TRADER_PROGRAM, 1, _PROC_RENEW,
-    args=_OFFER_ID_ARGS, result=layout.optional(layout.f64()),
-)
-CODECS.register(
-    TRADER_PROGRAM, 1, _PROC_WITHDRAW,
-    args=_OFFER_ID_ARGS, result=layout.boolean(),
-)
-CODECS.register(
-    TRADER_PROGRAM, 1, _PROC_REMOVE_TYPE,
-    args=_NAME_ARGS, result=layout.boolean(),
-)
-CODECS.register(
-    TRADER_PROGRAM, 1, _PROC_MASK_TYPE,
-    args=_NAME_ARGS, result=layout.boolean(),
-)
-CODECS.register(
-    TRADER_PROGRAM, 1, _PROC_LIST_TYPES,
-    args=layout.struct(), result=layout.seq(layout.string()),
-)
-CODECS.register(TRADER_PROGRAM, 1, _PROC_EXPORT, result=layout.string())
+#: The trader's own interface, described by a SID like any other service
+#: (§4.1).  Every procedure's compiled wire layouts derive from it, so a
+#: parameter's name is its wire dict key.  ``any`` marks the values that
+#: are dynamic by nature — property dicts and type definitions — and the
+#: nullable lease fields and RENEW result: SIDL has no optional type, and
+#: a tagged ``None`` or double costs the bytes an optional double would.
+TRADER_SIDL = """
+module COSMTrader {
+  typedef NameList_t sequence<string>;
+  typedef Offer_t struct {
+    string offer_id;
+    string service_type;
+    service_reference ref;
+    any properties;
+    double exported_at;
+    any expires_at;
+    any lease_seconds;
+  };
+  typedef OfferList_t sequence<Offer_t>;
+
+  interface COSM_Operations {
+    string export(in string service_type, in service_reference ref,
+                  in any properties, in any lifetime, in any lease_seconds);
+    boolean withdraw(in string offer_id);
+    boolean modify(in string offer_id, in any properties);
+    OfferList_t import(in string service_type, in string constraint,
+                       in string preference, in long long max_matches,
+                       in boolean structural, in long long hop_limit,
+                       in NameList_t visited);
+    boolean add_type(in any type);
+    boolean remove_type(in string name);
+    NameList_t list_types();
+    any get_type(in string name);
+    OfferList_t list_offers();
+    boolean mask_type(in string name);
+    any renew(in string offer_id);
+  };
+};
+"""
+TRADER_SID = load_service_description(TRADER_SIDL)
+
+#: Procedure number -> operation name (of the SID and of the handler).
+_OPERATIONS = {
+    _PROC_EXPORT: "export",
+    _PROC_WITHDRAW: "withdraw",
+    _PROC_MODIFY: "modify",
+    _PROC_IMPORT: "import",
+    _PROC_ADD_TYPE: "add_type",
+    _PROC_REMOVE_TYPE: "remove_type",
+    _PROC_LIST_TYPES: "list_types",
+    _PROC_GET_TYPE: "get_type",
+    _PROC_LIST_OFFERS: "list_offers",
+    _PROC_MASK_TYPE: "mask_type",
+    _PROC_RENEW: "renew",
+}
+for _proc, _name in _OPERATIONS.items():
+    CODECS.register_operation(
+        TRADER_PROGRAM, 1, _proc, TRADER_SID.interface.operation(_name)
+    )
 
 
 @dataclass
@@ -307,8 +337,35 @@ class LocalTrader:
         candidates = self.offers.candidates(
             type_names, constraint.equality_conjuncts, constraint.range_conjuncts
         )
-        matched = []
-        for offer in candidates:
+        matches = self._matches(candidates, constraint, now)
+        # Under the default "first" preference a bounded import keeps the
+        # first ``max_matches`` matches in candidate order — local offers
+        # precede federated ones and the list is truncated — so it stops
+        # evaluating candidates as soon as it has them, and skips the
+        # federation sweep entirely when they are all local.  Ranking
+        # preferences still see the full federated candidate set.
+        bounded_first = request.max_matches > 0 and preference.kind == "first"
+        matched = list(islice(matches, request.max_matches if bounded_first else None))
+        if not (bounded_first and len(matched) >= request.max_matches):
+            needed = (
+                max(0, request.max_matches - len(matched)) if bounded_first else 0
+            )
+            matched.extend(self._federated_matches(request, ctx, now, needed=needed))
+        unique: Dict[str, ServiceOffer] = {}
+        for offer in matched:
+            unique.setdefault(offer.offer_id, offer)
+        ordered = preference.apply(list(unique.values()), self.rng)
+        if request.max_matches > 0:
+            ordered = ordered[: request.max_matches]
+        return ordered
+
+    def _matches(self, offers, constraint, now) -> Iterator[ServiceOffer]:
+        """The live offers among ``offers`` that satisfy ``constraint``, lazily.
+
+        Dynamic properties are resolved per offer: importers see the
+        fresh values while the store keeps the markers.
+        """
+        for offer in offers:
             if offer.expired(now):
                 # Lazy exclusion: a lapsed lease stops matching before any
                 # sweep runs, so importers never see a dead exporter.
@@ -326,34 +383,8 @@ class LocalTrader:
             resolved = resolve_properties(offer.properties, self.dynamic_evaluator)
             if constraint.evaluate(resolved):
                 if resolved is not offer.properties:
-                    # importers see the fresh values, the store keeps markers
-                    offer = ServiceOffer(
-                        offer_id=offer.offer_id,
-                        service_type=offer.service_type,
-                        ref=offer.ref,
-                        properties=resolved,
-                        exported_at=offer.exported_at,
-                        expires_at=offer.expires_at,
-                        lease_seconds=offer.lease_seconds,
-                    )
-                matched.append(offer)
-        # Under the default "first" preference a bounded import may stop as
-        # soon as enough candidates exist — merged order puts local offers
-        # ahead of remote ones, so the truncated set is unchanged.  Ranking
-        # preferences still see the full federated candidate set.
-        bounded_first = request.max_matches > 0 and preference.kind == "first"
-        if not (bounded_first and len(matched) >= request.max_matches):
-            needed = (
-                max(0, request.max_matches - len(matched)) if bounded_first else 0
-            )
-            matched.extend(self._federated_matches(request, ctx, now, needed=needed))
-        unique: Dict[str, ServiceOffer] = {}
-        for offer in matched:
-            unique.setdefault(offer.offer_id, offer)
-        ordered = preference.apply(list(unique.values()), self.rng)
-        if request.max_matches > 0:
-            ordered = ordered[: request.max_matches]
-        return ordered
+                    offer = replace(offer, properties=resolved)
+                yield offer
 
     def _ordered_fast_path(
         self, request, constraint, preference, type_names, now
@@ -367,8 +398,9 @@ class LocalTrader:
         the ranking is provably identical to the general path — local
         offers only (federated merges need the full set), the sorted
         index is on, and no offer hides the property behind a dynamic
-        marker (its resolved value could re-rank it).  Returns None to
-        decline.
+        marker (its resolved value could re-rank it) — and when the walk
+        is expected to examine fewer offers than the equality bucket
+        holds.  Returns None to decline.
         """
         if self.links or request.max_matches <= 0:
             return None
@@ -377,31 +409,26 @@ class LocalTrader:
             return None
         if any(self.offers.has_unindexed(name, prop) for name in type_names):
             return None
+        if constraint.equality_conjuncts and not self._walk_is_cheaper(
+            type_names, constraint.equality_conjuncts, request.max_matches
+        ):
+            return None
         METRICS.inc("trader.ordered_scans", (self.trader_id,))
-        matched: List[ServiceOffer] = []
         walk = self.offers.ordered_by(type_names, prop, reverse=preference.kind == "max")
-        for offer in walk:
-            if offer.expired(now):
-                METRICS.inc("trader.offers.expired", (self.trader_id, "lazy"))
-                continue
-            resolved = resolve_properties(offer.properties, self.dynamic_evaluator)
-            if constraint.evaluate(resolved):
-                if resolved is not offer.properties:
-                    # markers on *other* properties than the ranking key:
-                    # importers still see the fresh values
-                    offer = ServiceOffer(
-                        offer_id=offer.offer_id,
-                        service_type=offer.service_type,
-                        ref=offer.ref,
-                        properties=resolved,
-                        exported_at=offer.exported_at,
-                        expires_at=offer.expires_at,
-                        lease_seconds=offer.lease_seconds,
-                    )
-                matched.append(offer)
-                if len(matched) >= request.max_matches:
-                    break
-        return matched
+        return list(islice(self._matches(walk, constraint, now), request.max_matches))
+
+    def _walk_is_cheaper(self, type_names, equalities, wanted: int) -> bool:
+        """Ordered walk or equality bucket: which examines fewer offers?
+
+        The bucket path examines all ``B`` offers of the equality bucket.
+        The walk meets bucket members at rate ``B/N`` among the ``N``
+        offers of the queried types, so it expects to examine
+        ``wanted·N/B`` offers before it holds ``wanted`` of them.  Both
+        sizes are exact counts, so the choice needs no tuning constant.
+        """
+        bucket = self.offers.equality_bucket_size(type_names, equalities)
+        total = sum(self.offers.count_for_type(name) for name in type_names)
+        return wanted * total <= bucket * bucket
 
     def select_best(
         self,
@@ -589,17 +616,8 @@ class TraderService:
             if self.trader.clock is None:
                 self.trader.clock = client.transport.now
         program = RpcProgram(TRADER_PROGRAM, 1, "trader")
-        program.register(_PROC_EXPORT, self._export, "export")
-        program.register(_PROC_WITHDRAW, self._withdraw, "withdraw")
-        program.register(_PROC_MODIFY, self._modify, "modify")
-        program.register(_PROC_IMPORT, self._import, "import")
-        program.register(_PROC_ADD_TYPE, self._add_type, "add_type")
-        program.register(_PROC_REMOVE_TYPE, self._remove_type, "remove_type")
-        program.register(_PROC_LIST_TYPES, self._list_types, "list_types")
-        program.register(_PROC_GET_TYPE, self._get_type, "get_type")
-        program.register(_PROC_LIST_OFFERS, self._list_offers, "list_offers")
-        program.register(_PROC_MASK_TYPE, self._mask_type, "mask_type")
-        program.register(_PROC_RENEW, self._renew, "renew")
+        for proc, name in _OPERATIONS.items():
+            program.register(proc, getattr(self, f"_{name}"), name)
         server.serve(program)
         self.address = server.address
 

@@ -28,6 +28,7 @@ from repro.sidl.types import (
     AnyType,
     IntegerType,
     OperationType,
+    SidValueType,
     StringType,
     VoidType,
 )
@@ -282,7 +283,8 @@ def test_register_operation_derives_layouts():
 
 def test_register_operation_skips_dynamic_signatures():
     registry = CodecRegistry()
-    operation = OperationType("Poke", [("payload", "in", AnyType())], VoidType())
+    # A SID value has no static layout (``any`` does: the tagged leaf).
+    operation = OperationType("Poke", [("payload", "in", SidValueType())], VoidType())
     assert not registry.register_operation(940201, 1, 4, operation)
     assert not registry.negotiated(940201, 1, 4)
 
@@ -292,3 +294,81 @@ def test_global_registry_serves_trader_procedures():
     from repro.trader.trader import TRADER_PROGRAM, _PROC_RENEW
 
     assert CODECS.negotiated(TRADER_PROGRAM, 1, _PROC_RENEW)
+
+
+def test_register_operation_maps_any_to_tagged_leaf():
+    """SIDL ``any`` compiles to a tagged sub-value inside the positional
+    body, so one dynamic parameter no longer forces the whole call tagged."""
+    registry = CodecRegistry()
+    operation = OperationType(
+        "Modify",
+        [("offer_id", "in", StringType()), ("properties", "in", AnyType())],
+        VoidType(),
+    )
+    assert registry.register_operation(940202, 1, 5, operation)
+    args = {"offer_id": "o-7", "properties": {"City": "Bern", "Seats": [2, 4.5, None]}}
+    body = registry.encode_args(940202, 1, 5, args)
+    assert is_compiled(body)
+    assert registry.decode_args(940202, 1, 5, body) == args
+
+
+def test_trader_import_rides_the_compiled_lane():
+    """IMPORT's request and its offer-record reply both compile: the
+    trader's layouts derive from its SID, with ``properties`` the
+    record's dynamic leaf and the reference a fixed record."""
+    from repro.naming.refs import ServiceRef
+    from repro.net.endpoints import Address
+    from repro.trader.trader import _PROC_IMPORT, TRADER_PROGRAM, ImportRequest
+
+    request = ImportRequest("Rental", "City == 'Bern'", "min Price", 10).to_wire()
+    body = CODECS.encode_args(TRADER_PROGRAM, 1, _PROC_IMPORT, request)
+    assert is_compiled(body)
+    assert CODECS.decode_args(TRADER_PROGRAM, 1, _PROC_IMPORT, body) == request
+    offers = [
+        {
+            "offer_id": "t:Rental:1",
+            "service_type": "Rental",
+            "ref": ServiceRef.create("Desk", Address("h", 7), 4711).to_wire(),
+            "properties": {"City": "Bern", "Price": 80.5},
+            "exported_at": 1.5,
+            "expires_at": None,
+            "lease_seconds": 30,
+        }
+    ]
+    reply = CODECS.encode_result(TRADER_PROGRAM, 1, _PROC_IMPORT, offers)
+    assert is_compiled(reply)
+    assert len(reply) < len(encode_value(offers))
+    assert CODECS.decode_result(TRADER_PROGRAM, 1, _PROC_IMPORT, reply) == offers
+    tagged = CODECS.encode_result(TRADER_PROGRAM, 1, _PROC_IMPORT, offers, compiled=False)
+    assert not is_compiled(tagged)
+    assert decode_value(tagged) == offers
+
+
+def test_any_leaf_rejects_nesting_beyond_max_depth():
+    from repro.rpc.xdr import MAX_VALUE_DEPTH
+
+    codec = CompiledCodec(layout.struct(payload=layout.any()))
+    deep = []
+    for __ in range(MAX_VALUE_DEPTH + 2):
+        deep = [deep]
+    body = codec.encode({"payload": deep})
+    with pytest.raises(XdrError, match="MAX_VALUE_DEPTH"):
+        codec.decode(body)
+
+
+def test_any_leaf_rejects_short_input():
+    codec = CompiledCodec(layout.struct(payload=layout.any(), tail=layout.i64()))
+    body = codec.encode({"payload": {"City": "Bern"}, "tail": 3})
+    for cut in (9, 12, len(body) - 9):
+        with pytest.raises(XdrError):
+            codec.decode(body[:cut])
+
+
+def test_seq_count_bounded_by_remaining_bytes():
+    """A count the *whole* body could hold but the bytes after it cannot
+    is refused up front, before any element is read."""
+    codec = CompiledCodec(layout.struct(pad=layout.octets(), items=layout.seq(layout.i64())))
+    body = codec.encode({"pad": b"\x00" * 64, "items": []})
+    forged = body[:-4] + (3).to_bytes(4, "big")  # 3 hypers, 0 bytes left
+    with pytest.raises(XdrError, match="implausible sequence count"):
+        codec.decode(forged)

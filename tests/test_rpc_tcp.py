@@ -112,3 +112,89 @@ def test_enable_nodelay_tolerates_non_tcp_sockets():
     finally:
         left.close()
         right.close()
+
+
+# -- outgoing connections: idle readers and peer hang-ups ---------------------
+
+
+@pytest.fixture
+def async_echo_server():
+    """An AsyncRpcServer on its own loop thread; it replies to a caller on
+    the connection the call arrived on (unlike the threaded transport)."""
+    import asyncio
+    import threading
+
+    from repro.rpc.aio import AsyncRpcServer, AsyncTcpTransport
+
+    loop = asyncio.new_event_loop()
+    thread = threading.Thread(target=loop.run_forever, daemon=True)
+    thread.start()
+
+    async def start():
+        transport = await AsyncTcpTransport.create()
+        server = AsyncRpcServer(transport)
+        program = RpcProgram(PROG, 1)
+        program.register(1, lambda args: args, "echo")
+        server.serve(program)
+        return transport
+
+    transport = asyncio.run_coroutine_threadsafe(start(), loop).result(5)
+    yield transport.local_address
+    loop.call_soon_threadsafe(transport.close)
+    loop.call_soon_threadsafe(loop.stop)
+    thread.join(5)
+    loop.close()
+
+
+def test_idle_outgoing_connection_still_hears_replies(monkeypatch, async_echo_server):
+    """The connect timeout must not outlive the connect: a reader thread
+    that times out on an idle connection loses every later reply the
+    peer sends back on it.  A short connect timeout makes the idle
+    window cheap to cross."""
+    import socket
+    import time
+
+    connect = socket.create_connection
+
+    def short_connect(address, timeout=None, *args, **kwargs):
+        return connect(address, 0.2, *args, **kwargs)
+
+    monkeypatch.setattr(socket, "create_connection", short_connect)
+    transport = TcpTransport()
+    try:
+        client = RpcClient(transport, timeout=2.0, retries=0)
+        assert client.call(async_echo_server, PROG, 1, 1, "first") == "first"
+        time.sleep(0.5)  # idle well past the connect timeout
+        assert client.call(async_echo_server, PROG, 1, 1, "second") == "second"
+    finally:
+        transport.close()
+
+
+def test_outgoing_connection_evicted_when_peer_hangs_up():
+    """When the peer closes a cached connection, the next send reconnects
+    rather than writing into the dead socket."""
+    import socket
+    import time
+
+    from repro.net.endpoints import Address
+
+    listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    listener.bind(("127.0.0.1", 0))
+    listener.listen(4)
+    listener.settimeout(5)
+    destination = Address("127.0.0.1", listener.getsockname()[1])
+    transport = TcpTransport()
+    try:
+        transport.send(destination, b"one")
+        first, __ = listener.accept()
+        first.close()
+        deadline = time.monotonic() + 5
+        while destination in transport._connections and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert destination not in transport._connections
+        transport.send(destination, b"two")
+        second, __ = listener.accept()  # times out unless it reconnected
+        second.close()
+    finally:
+        transport.close()
+        listener.close()
