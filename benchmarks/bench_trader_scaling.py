@@ -168,10 +168,14 @@ def measure_local(offer_count: int, conjuncts: int, repeats: int) -> Dict[str, A
 
     seed = timed(lambda: seed_scan(trader, text))
     # The offer store counts how each import was served: equality pins go
-    # through the property index, pin-free constraints fall back to the
-    # full type scan.  Deltas confirm which path the row measured.
-    hits_before = METRICS.counter("offers.index_hits", (trader.trader_id,))
-    scans_before = METRICS.counter("offers.fallback_scans", (trader.trader_id,))
+    # through the property index, pin-free range bounds through the
+    # sorted range index, and anything else falls back to the full type
+    # scan.  Deltas confirm which path the row measured.
+    paths = ("index_hits", "range_hits", "fallback_scans")
+    before = {
+        path: METRICS.counter(f"offers.{path}", (trader.trader_id,))
+        for path in paths
+    }
     indexed = timed(lambda: trader.import_(request))
     return {
         "offers": offer_count,
@@ -181,10 +185,11 @@ def measure_local(offer_count: int, conjuncts: int, repeats: int) -> Dict[str, A
         "seed_linear_s": round(seed, 6),
         "indexed_s": round(indexed, 6),
         "speedup": round(seed / indexed, 2) if indexed else None,
-        "index_hits": METRICS.counter("offers.index_hits", (trader.trader_id,))
-        - hits_before,
-        "fallback_scans": METRICS.counter("offers.fallback_scans", (trader.trader_id,))
-        - scans_before,
+        **{
+            path: METRICS.counter(f"offers.{path}", (trader.trader_id,))
+            - before[path]
+            for path in paths
+        },
     }
 
 
@@ -249,7 +254,10 @@ def main() -> None:
         if row["eq_conjuncts"] > 0:
             assert row["index_hits"] > 0 and row["fallback_scans"] == 0, row
         else:
-            assert row["fallback_scans"] > 0 and row["index_hits"] == 0, row
+            # The pin-free row's bound (``ChargePerDay < 30``) is served
+            # by the range index, never by a full scan.
+            assert row["range_hits"] > 0, row
+            assert row["index_hits"] == 0 and row["fallback_scans"] == 0, row
     print(f"wrote {args.out}")
 
 

@@ -21,13 +21,14 @@ extended over failures.
 from __future__ import annotations
 
 import threading
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.context import CallContext
 from repro.core.generic_client import GenericBinding, GenericClient
 from repro.errors import BindingError, CommunicationError, LookupFailure
 from repro.naming.binder import PROC_BIND, PROC_INVOKE
 from repro.rpc.client import RpcClient
+from repro.rpc.engine import ROUND, Engine, drive, drive_async
 from repro.rpc.errors import DeadlineExceeded, RpcError
 from repro.rpc.resilience import CircuitOpen, ResilientCaller, transient
 from repro.telemetry.metrics import METRICS
@@ -104,44 +105,12 @@ class RebindingClient:
         :class:`DeadlineExceeded` propagates — re-importing cannot buy a
         request more time.
         """
-        key: _CacheKey = (service_type, constraint, preference)
-        last_error: Optional[BaseException] = None
-        rounds = 1 + self.max_rebinds
-        for attempt in range(rounds):
-            offers = self._usable_offers(key, ctx, refresh=attempt > 0)
-            if not offers:
-                if last_error is not None:
-                    raise last_error
-                raise LookupFailure(
-                    f"no live offer for type {service_type!r}"
-                    + (f" with {constraint!r}" if constraint else "")
-                )
-            try:
-                return self.resilient.run(
-                    offers,
-                    lambda offer, child: self._attempt(offer, operation,
-                                                       arguments, child),
-                    ctx=self._round_context(ctx, rounds - attempt),
-                    key=_endpoint,
-                    operation=f"{service_type}.{operation}",
-                )
-            except DeadlineExceeded:
-                if ctx is None or ctx.expired(self._client.transport.now()):
-                    raise  # truly out of budget
-                last_error = None  # only this round's slice lapsed
-            except (CommunicationError, CircuitOpen, BindingError) as exc:
-                if not transient(exc):
-                    raise
-                last_error = exc
-            # The whole ranked list is dead or shedding: forget it and
-            # ask the trader again — recovery may have re-exported.
-            self._evict(key, offers)
-            self.rebinds += 1
-            METRICS.inc("client.rebinds", (service_type,))
-        if last_error is not None:
-            raise last_error
-        raise DeadlineExceeded(
-            f"budget spent across {rounds} bind round(s) for {service_type!r}"
+        return drive(
+            self._rebind_rounds(service_type, constraint, preference, ctx),
+            self._round_runner(
+                self.resilient.run, self._attempt,
+                service_type, operation, arguments,
+            ),
         )
 
     async def invoke_async(
@@ -153,7 +122,7 @@ class RebindingClient:
         preference: str = "",
         ctx: Optional[CallContext] = None,
     ) -> Any:
-        """Coroutine twin of :meth:`invoke` for the async RPC stack.
+        """:meth:`invoke`'s rebind engine under the async driver.
 
         Identical failover / re-import semantics, driven through
         :meth:`~repro.rpc.resilience.ResilientCaller.run_async` so backoff
@@ -170,6 +139,39 @@ class RebindingClient:
             raise BindingError(
                 "RebindingClient.invoke_async needs an async_client"
             )
+        return await drive_async(
+            self._rebind_rounds(service_type, constraint, preference, ctx),
+            self._round_runner(
+                self.resilient.run_async, self._attempt_async,
+                service_type, operation, arguments,
+            ),
+        )
+
+    @staticmethod
+    def _round_runner(
+        run: Callable[..., Any],
+        attempt: Callable[..., Any],
+        service_type: str,
+        operation: str,
+        arguments: Optional[Dict[str, Any]],
+    ) -> Callable[[tuple], Any]:
+        """Perform a ``ROUND``: failover across one cohort of offers."""
+        return lambda effect: run(
+            effect[1],
+            lambda offer, child: attempt(offer, operation, arguments, child),
+            ctx=effect[2],
+            key=_endpoint,
+            operation=f"{service_type}.{operation}",
+        )
+
+    def _rebind_rounds(
+        self,
+        service_type: str,
+        constraint: str,
+        preference: str,
+        ctx: Optional[CallContext],
+    ) -> Engine:
+        """The rebind engine: one ``ROUND`` effect per cohort import."""
         key: _CacheKey = (service_type, constraint, preference)
         last_error: Optional[BaseException] = None
         rounds = 1 + self.max_rebinds
@@ -183,23 +185,19 @@ class RebindingClient:
                     + (f" with {constraint!r}" if constraint else "")
                 )
             try:
-                return await self.resilient.run_async(
-                    offers,
-                    lambda offer, child: self._attempt_async(
-                        offer, operation, arguments, child
-                    ),
-                    ctx=self._round_context(ctx, rounds - attempt),
-                    key=_endpoint,
-                    operation=f"{service_type}.{operation}",
+                return (
+                    yield ROUND, offers, self._round_context(ctx, rounds - attempt)
                 )
             except DeadlineExceeded:
                 if ctx is None or ctx.expired(self._client.transport.now()):
-                    raise
-                last_error = None
+                    raise  # truly out of budget
+                last_error = None  # only this round's slice lapsed
             except (CommunicationError, CircuitOpen, BindingError) as exc:
                 if not transient(exc):
                     raise
                 last_error = exc
+            # The whole ranked list is dead or shedding: forget it and
+            # ask the trader again — recovery may have re-exported.
             self._evict(key, offers)
             self.rebinds += 1
             METRICS.inc("client.rebinds", (service_type,))

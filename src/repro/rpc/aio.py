@@ -34,25 +34,19 @@ from __future__ import annotations
 import asyncio
 import inspect
 import struct
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Set
 
-from repro.context import CallContext, SpanRecord, current_context, use_context
+from repro.context import CallContext, use_context
 from repro.errors import CommunicationError
 from repro.net.endpoints import Address
-from repro.rpc.client import (
-    RetiredXids,
-    RpcClient,
-    reply_to_result,
-    resolve_context,
-)
+from repro.rpc.client import BatchingCore, ClientCore, reply_to_result
 from repro.rpc.codec import CODECS
-from repro.rpc.dispatch import dispatcher_for
-from repro.rpc.errors import DeadlineExceeded, RpcError, RpcTimeout
-from repro.rpc.message import ReplyStatus, RpcCall, RpcReply
+from repro.rpc.engine import SEND, WAIT, drive_async
+from repro.rpc.errors import RpcError
+from repro.rpc.message import RpcCall, RpcReply
 from repro.rpc.server import AdmissionPolicy, RpcServer
 from repro.rpc.transport import SimTransport, Transport, enable_nodelay
-from repro.telemetry import sampling
-from repro.telemetry.hub import flush_context, spans_wanted
+from repro.telemetry.hub import spans_wanted
 from repro.telemetry.metrics import METRICS
 
 __all__ = [
@@ -244,10 +238,11 @@ class AsyncTcpTransport(Transport):
         return await reader.readexactly(length)
 
 
-class AsyncRpcClient:
+class AsyncRpcClient(ClientCore):
     """Coroutine RPC client: many concurrent calls over one transport.
 
-    Semantics mirror :class:`~repro.rpc.client.RpcClient` exactly —
+    The async driver of :class:`~repro.rpc.client.ClientCore`'s engines,
+    so semantics are :class:`~repro.rpc.client.RpcClient`'s exactly —
     same-xid retransmission carved out of the context's remaining
     deadline budget, ambient-context inheritance, retired-xid duplicate
     suppression — but each in-flight call awaits its own future instead
@@ -257,50 +252,69 @@ class AsyncRpcClient:
     driven by a :class:`~repro.net.aioclock.SimEventLoop`.
     """
 
-    #: Shared with the sync client: a process mixing both flavours never
-    #: reuses a live xid against the same server's reply cache.
-    _xid_counter = RpcClient._xid_counter
+    _drive = staticmethod(drive_async)
 
-    def __init__(
-        self,
-        transport: Transport,
-        timeout: float = 1.0,
-        retries: int = 3,
-        retired_xid_capacity: int = 4096,
-    ) -> None:
-        self.transport = transport
-        self.timeout = timeout
-        self.retries = retries
-        self._waiters: Dict[int, asyncio.Future] = {}
-        self._retired = RetiredXids(retired_xid_capacity)
-        self.calls_sent = 0
-        self.retransmissions = 0
-        self.duplicate_replies_dropped = 0
-        dispatcher_for(transport).client = self
-
-    @property
-    def address(self) -> Address:
-        return self.transport.local_address
-
-    def handle_reply(self, source: Address, reply: RpcReply) -> None:
-        """Entry point from the dispatcher (runs on the event loop)."""
-        if reply.xid in self._retired:
-            self.duplicate_replies_dropped += 1
-            METRICS.inc("rpc.client.duplicate_replies_dropped")
-            return
-        waiter = self._waiters.get(reply.xid)
+    def _deliver(self, reply: RpcReply) -> bool:
+        waiter = self._pending.get(reply.xid)
         if waiter is None or waiter.done():
-            self.duplicate_replies_dropped += 1
-            METRICS.inc("rpc.client.duplicate_replies_dropped")
-            return
+            return False
         waiter.set_result(reply)
+        return True
 
     def retire_xid(self, xid: int) -> None:
         """Mark ``xid`` finished: later replies for it are dropped."""
-        waiter = self._waiters.pop(xid, None)
-        if waiter is not None and not waiter.done():
-            waiter.cancel()
+        waiter = self._pending.pop(xid, None)
+        if waiter is not None:
+            _inflight(-1)
+            if not waiter.done():
+                waiter.cancel()
         self._retired.add(xid)
+
+    def _waiter(self, xid: int) -> asyncio.Future:
+        """The xid's reply future, created on its first wait.
+
+        One future per xid, shared across attempts: retransmissions
+        re-await the *same* future, so whichever attempt's reply lands
+        first resolves the call and later duplicates are dropped.  The
+        first wait follows the first send with no loop turn in between,
+        so no reply can arrive before its future exists.
+        """
+        waiter = self._pending.get(xid)
+        if waiter is None:
+            waiter = self._pending[xid] = asyncio.get_running_loop().create_future()
+            _inflight(+1)
+        return waiter
+
+    def _perform(self, effect: tuple) -> Any:
+        kind = effect[0]
+        if kind == SEND:
+            return self._send(effect[1], effect[2], effect[3])
+        if kind == WAIT:
+            return self._await_reply(effect[1], effect[2])
+        return self._await_replies(effect[1], effect[2])
+
+    async def _await_reply(self, xid: int, timeout: float) -> Optional[RpcReply]:
+        try:
+            # shield: a per-attempt timeout must not cancel the waiter —
+            # the xid (and its future) live on into the next attempt.
+            return await asyncio.wait_for(asyncio.shield(self._waiter(xid)), timeout)
+        except asyncio.TimeoutError:
+            return None
+
+    async def _await_replies(
+        self, xids: List[int], timeout: float
+    ) -> Dict[int, RpcReply]:
+        waiters = {xid: self._waiter(xid) for xid in xids}
+        waiting = [waiter for waiter in waiters.values() if not waiter.done()]
+        if waiting:
+            # One collective timeout; pending futures are left
+            # un-cancelled so the next attempt re-awaits them.
+            await asyncio.wait(waiting, timeout=timeout)
+        return {
+            xid: waiter.result()
+            for xid, waiter in waiters.items()
+            if waiter.done() and not waiter.cancelled()
+        }
 
     async def call(
         self,
@@ -321,120 +335,6 @@ class AsyncRpcClient:
         )
         return reply_to_result(reply, destination, prog, vers, proc)
 
-    async def call_raw(
-        self,
-        destination: Address,
-        prog: int,
-        vers: int,
-        proc: int,
-        body: bytes,
-        timeout: Optional[float] = None,
-        retries: Optional[int] = None,
-        context: Optional[CallContext] = None,
-    ) -> RpcReply:
-        """Send pre-encoded bytes and return the raw reply."""
-        ambient = current_context() if context is None else None
-        ctx = resolve_context(
-            context, timeout, retries, ambient,
-            self.timeout, self.retries, self.transport.now(),
-        )
-        owns_chain = context is None and ambient is None
-        try:
-            with ctx.span("rpc", f"call {prog}:{proc}", self.transport.now) as span:
-                return await self._call_attempts(
-                    ctx, destination, prog, vers, proc, body, span
-                )
-        finally:
-            if owns_chain:
-                flush_context(ctx)
-
-    async def _call_attempts(
-        self,
-        ctx: CallContext,
-        destination: Address,
-        prog: int,
-        vers: int,
-        proc: int,
-        body: bytes,
-        span: Optional[SpanRecord] = None,
-    ) -> RpcReply:
-        now = self.transport.now()
-        labels = (str(prog), str(proc))
-        if ctx.expired(now):
-            METRICS.inc("rpc.client.deadline_exceeded", labels)
-            raise DeadlineExceeded(
-                f"deadline expired before calling {destination} "
-                f"(trace {ctx.trace_id})"
-            )
-        xid = next(self._xid_counter)
-        call = RpcCall(
-            xid, prog, vers, proc, body,
-            deadline=ctx.deadline, trace_id=ctx.trace_id, hops=ctx.hops,
-            sampled=sampling.mark(ctx),
-        )
-        encoded = call.encode()
-        # One future per xid, shared across attempts: retransmissions
-        # re-await the *same* future, so whichever attempt's reply lands
-        # first resolves the call and later duplicates are dropped.
-        waiter = asyncio.get_running_loop().create_future()
-        self._waiters[xid] = waiter
-        attempts = ctx.retry.attempts
-        _inflight(+1)
-        try:
-            for attempt in range(attempts):
-                now = self.transport.now()
-                if ctx.expired(now):
-                    METRICS.inc("rpc.client.deadline_exceeded", labels)
-                    raise DeadlineExceeded(
-                        f"deadline expired after {attempt} attempt(s) to "
-                        f"{destination} (trace {ctx.trace_id})"
-                    )
-                if attempt:
-                    self.retransmissions += 1
-                    METRICS.inc("rpc.client.retransmissions", labels)
-                    if span is not None:
-                        span.add_event("retransmission", at=now, attempt=attempt)
-                self.calls_sent += 1
-                wait = ctx.attempt_timeout(now, attempts - attempt)
-                self._send_call(destination, encoded, ctx.deadline)
-                try:
-                    # shield: a per-attempt timeout must not cancel the
-                    # waiter — the xid (and its future) live on into the
-                    # next attempt.
-                    reply = await asyncio.wait_for(asyncio.shield(waiter), wait)
-                except asyncio.TimeoutError:
-                    continue
-                if reply.status is ReplyStatus.SHED:
-                    METRICS.inc("rpc.client.shed_received", labels)
-                    if span is not None:
-                        span.add_event(
-                            "shed", at=self.transport.now(), attempt=attempt
-                        )
-                return reply
-            if ctx.expired(self.transport.now()) and ctx.retry.attempt_timeout is None:
-                METRICS.inc("rpc.client.deadline_exceeded", labels)
-                raise DeadlineExceeded(
-                    f"no reply from {destination} within the deadline "
-                    f"(trace {ctx.trace_id})"
-                )
-            raise RpcTimeout(
-                f"no reply from {destination} for prog={prog} proc={proc} "
-                f"after {attempts} attempt(s)"
-            )
-        finally:
-            _inflight(-1)
-            self.retire_xid(xid)
-
-    def _send_call(
-        self, destination: Address, encoded: bytes, deadline: Optional[float]
-    ) -> None:
-        """Put one encoded CALL on the wire.
-
-        The seam :class:`AsyncBatchingClient` overrides to coalesce
-        same-tick writes; the base client writes immediately.
-        """
-        self.transport.send(destination, encoded)
-
     async def ping(self, destination: Address, prog: int, vers: int = 1) -> bool:
         """True when the destination answers procedure 0 (NULL proc)."""
         try:
@@ -443,23 +343,8 @@ class AsyncRpcClient:
         except RpcError:
             return False
 
-    async def stats(self, destination: Address, **kwargs: Any) -> Dict[str, Any]:
-        """Fetch the STATS snapshot from the server at ``destination``."""
-        from repro.rpc import stats as stats_mod
 
-        return await self.call(
-            destination,
-            stats_mod.STATS_PROGRAM,
-            stats_mod.STATS_VERSION,
-            stats_mod.PROC_SNAPSHOT,
-            **kwargs,
-        )
-
-    def close(self) -> None:
-        dispatcher_for(self.transport).client = None
-
-
-class AsyncBatchingClient(AsyncRpcClient):
+class AsyncBatchingClient(BatchingCore, AsyncRpcClient):
     """Async client that coalesces same-tick calls into BATCH writes.
 
     Calls issued in the same event-loop tick — the natural shape of an
@@ -510,163 +395,6 @@ class AsyncBatchingClient(AsyncRpcClient):
         if staged:
             self._send_batch(destination, staged)
 
-    def _send_batch(self, destination: Address, payloads: List[bytes]) -> None:
-        self.batches_sent += 1
-        METRICS.inc("rpc.client.batches_sent")
-        METRICS.observe("rpc.client.batch_size", float(len(payloads)))
-        self.transport.send(destination, b"".join(payloads))
-
-    def _send_batches(
-        self, destination: Address, encoded_calls: List[bytes]
-    ) -> None:
-        """Ship encoded CALLs in watermark-sized BATCH payloads."""
-        chunk: List[bytes] = []
-        chunk_bytes = 0
-        for encoded in encoded_calls:
-            if chunk and (
-                len(chunk) >= self.max_batch
-                or chunk_bytes + len(encoded) > self.max_bytes
-            ):
-                self._send_batch(destination, chunk)
-                chunk, chunk_bytes = [], 0
-            chunk.append(encoded)
-            chunk_bytes += len(encoded)
-        if chunk:
-            self._send_batch(destination, chunk)
-
-    # -- explicit batch API -----------------------------------------------
-
-    async def call_many(
-        self,
-        destination: Address,
-        calls: Sequence[Tuple[int, int, int, Any]],
-        timeout: Optional[float] = None,
-        retries: Optional[int] = None,
-        context: Optional[CallContext] = None,
-    ) -> List[Any]:
-        """Issue many ``(prog, vers, proc, args)`` calls as batches.
-
-        The coroutine twin of
-        :meth:`repro.rpc.client.BatchingClient.call_many`: one shared
-        context (one deadline budget, one trace) covers the whole
-        batch, replies are awaited collectively instead of through a
-        per-call future+timeout pair, and outcomes come back in call
-        order — the decoded result or the typed :class:`RpcError`
-        *instance* that call would have raised.
-        """
-        calls = list(calls)
-        if not calls:
-            return []
-        ambient = current_context() if context is None else None
-        ctx = resolve_context(
-            context, timeout, retries, ambient,
-            self.timeout, self.retries, self.transport.now(),
-        )
-        owns_chain = context is None and ambient is None
-        try:
-            with ctx.span(
-                "rpc", f"call_many x{len(calls)}", self.transport.now
-            ):
-                return await self._batch_attempts(ctx, destination, calls)
-        finally:
-            if owns_chain:
-                flush_context(ctx)
-
-    async def _batch_attempts(
-        self,
-        ctx: CallContext,
-        destination: Address,
-        calls: Sequence[Tuple[int, int, int, Any]],
-    ) -> List[Any]:
-        loop = asyncio.get_running_loop()
-        entries = []
-        sampled = sampling.mark(ctx)
-        for prog, vers, proc, args in calls:
-            xid = next(self._xid_counter)
-            call = RpcCall(
-                xid, prog, vers, proc,
-                CODECS.encode_args(prog, vers, proc, args),
-                deadline=ctx.deadline, trace_id=ctx.trace_id, hops=ctx.hops,
-                sampled=sampled,
-            )
-            self._waiters[xid] = loop.create_future()
-            entries.append((xid, prog, vers, proc, call.encode()))
-        _inflight(+len(entries))
-        try:
-            replies = await self._collect_replies(ctx, destination, entries)
-            expired = ctx.expired(self.transport.now())
-            outcomes: List[Any] = []
-            for xid, prog, vers, proc, __ in entries:
-                reply = replies.get(xid)
-                if reply is None:
-                    if expired:
-                        outcomes.append(DeadlineExceeded(
-                            f"no reply from {destination} for prog={prog} "
-                            f"proc={proc} within the deadline "
-                            f"(trace {ctx.trace_id})"
-                        ))
-                    else:
-                        outcomes.append(RpcTimeout(
-                            f"no reply from {destination} for prog={prog} "
-                            f"proc={proc} after "
-                            f"{ctx.retry.attempts} attempt(s)"
-                        ))
-                    continue
-                try:
-                    outcomes.append(
-                        reply_to_result(reply, destination, prog, vers, proc)
-                    )
-                except RpcError as error:
-                    outcomes.append(error)
-            return outcomes
-        finally:
-            _inflight(-len(entries))
-            for xid, *__ in entries:
-                self.retire_xid(xid)
-
-    async def _collect_replies(
-        self, ctx: CallContext, destination: Address, entries
-    ) -> Dict[int, RpcReply]:
-        """Send batches and gather replies, retransmitting only gaps."""
-        replies: Dict[int, RpcReply] = {}
-        outstanding = {
-            xid: (prog, proc, encoded)
-            for xid, prog, vers, proc, encoded in entries
-        }
-        attempts = ctx.retry.attempts
-        for attempt in range(attempts):
-            now = self.transport.now()
-            if ctx.expired(now):
-                break
-            if attempt:
-                for prog, proc, __ in outstanding.values():
-                    self.retransmissions += 1
-                    METRICS.inc(
-                        "rpc.client.retransmissions", (str(prog), str(proc))
-                    )
-            self.calls_sent += len(outstanding)
-            self._send_batches(
-                destination,
-                [encoded for __, __, encoded in outstanding.values()],
-            )
-            wait = ctx.attempt_timeout(now, attempts - attempt)
-            waiting = [
-                self._waiters[xid]
-                for xid in outstanding
-                if not self._waiters[xid].done()
-            ]
-            if waiting:
-                # One collective timeout; pending futures are left
-                # un-cancelled so the next attempt re-awaits them.
-                await asyncio.wait(waiting, timeout=wait)
-            for xid in list(outstanding):
-                waiter = self._waiters.get(xid)
-                if waiter is not None and waiter.done() and not waiter.cancelled():
-                    replies[xid] = waiter.result()
-                    del outstanding[xid]
-            if not outstanding:
-                break
-        return replies
 
 
 class AsyncRpcServer(RpcServer):

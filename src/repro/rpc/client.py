@@ -1,6 +1,9 @@
 """RPC client handles: retransmission, typed errors, and call batching.
 
-:class:`RpcClient` is the one-call-per-write baseline.
+:class:`ClientCore` and :class:`BatchingCore` hold the sans-IO call
+engines (:mod:`repro.rpc.engine`) that the sync clients here and the
+async ones in :mod:`repro.rpc.aio` share.  :class:`RpcClient` drives them
+with blocking waits and is the one-call-per-write baseline.
 :class:`BatchingClient` adds the wire fast lane: concurrent calls to the
 same endpoint coalesce into a single BATCH payload (one ``send`` for
 many CALL frames), flushed when a count, byte, or deadline-slack
@@ -14,12 +17,13 @@ from __future__ import annotations
 import itertools
 import threading
 from collections import OrderedDict
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.context import CallContext, SpanRecord, current_context
 from repro.net.endpoints import Address
 from repro.rpc.codec import CODECS
 from repro.rpc.dispatch import dispatcher_for
+from repro.rpc.engine import SEND, WAIT, WAIT_ALL, Engine, drive
 from repro.rpc.errors import (
     DeadlineExceeded,
     GarbageArguments,
@@ -138,22 +142,23 @@ def resolve_context(
     return shim
 
 
-class RpcClient:
-    """Issues calls over a transport.
+class ClientCore:
+    """What the sync and async RPC clients share: state and engines.
 
-    Retransmits with the *same* xid on timeout so the server's at-most-once
-    cache can suppress re-execution.  Timing is governed by a
-    :class:`~repro.context.CallContext`: each attempt's wait is carved out
-    of the context's *remaining* deadline budget
-    (:meth:`CallContext.attempt_timeout`).  The legacy ``timeout``/
-    ``retries`` kwargs remain as a shim that builds an equivalent context
-    with total budget ``timeout * (retries + 1)``.
-
-    Calls made while serving an RPC (e.g. a trader forwarding a federated
-    import) inherit the ambient server-side context automatically, so one
-    deadline and one trace id cover the whole cascade.
+    The single-call attempt loop lives here once, as a sans-IO engine
+    (:mod:`repro.rpc.engine`): it yields ``SEND`` and ``WAIT`` effects and
+    the flavour's driver performs them — :class:`RpcClient` blocks on
+    ``transport.wait``, :class:`~repro.rpc.aio.AsyncRpcClient` awaits a
+    per-xid future.  A subclass names its driver (``_drive``: the
+    blocking :func:`~repro.rpc.engine.drive` or the coroutine
+    :func:`~repro.rpc.engine.drive_async`) and performs the effects
+    (``_perform``).  ``_pending`` maps each in-flight xid to what that
+    driver waits on — the reply itself (sync) or its future (async) —
+    and the subclass keeps it through ``_deliver``/``retire_xid``.
     """
 
+    #: One counter for every flavour: a process mixing sync and async
+    #: clients never reuses a live xid against the same reply cache.
     _xid_counter = itertools.count(1)
 
     def __init__(
@@ -166,9 +171,9 @@ class RpcClient:
         self.transport = transport
         self.timeout = timeout
         self.retries = retries
-        self._pending: Dict[int, RpcReply] = {}
+        self._pending: Dict[int, Any] = {}
         # Bounded memory of finished xids: late duplicate replies for them
-        # are dropped instead of leaking into ``_pending`` forever.
+        # are dropped instead of leaking into the reply table forever.
         self._retired = RetiredXids(retired_xid_capacity)
         self.calls_sent = 0
         self.retransmissions = 0
@@ -180,48 +185,25 @@ class RpcClient:
         return self.transport.local_address
 
     def handle_reply(self, source: Address, reply: RpcReply) -> None:
-        """Entry point from the dispatcher."""
-        if reply.xid in self._retired:
+        """Entry point from the dispatcher: hand the reply to its waiter.
+
+        Replies for retired xids, and ones the flavour's ``_deliver``
+        refuses (no live waiter), are counted as duplicates and dropped.
+        """
+        if reply.xid in self._retired or not self._deliver(reply):
             self.duplicate_replies_dropped += 1
             METRICS.inc("rpc.client.duplicate_replies_dropped")
-            return
-        self._pending[reply.xid] = reply
 
-    def retire_xid(self, xid: int) -> None:
-        """Mark ``xid`` finished: later replies for it are dropped."""
-        self._pending.pop(xid, None)
-        self._retired.add(xid)
+    def stats(self, destination: Address, **kwargs: Any) -> Any:
+        """Fetch the STATS snapshot from the server at ``destination``.
 
-    def _effective_context(
-        self,
-        context: Optional[CallContext],
-        timeout: Optional[float],
-        retries: Optional[int],
-        ambient: Optional[CallContext],
-    ) -> CallContext:
-        return resolve_context(
-            context, timeout, retries, ambient,
-            self.timeout, self.retries, self.transport.now(),
-        )
+        Every :class:`~repro.rpc.server.RpcServer` serves the well-known
+        stats program; this is the client-side one-liner for it (an
+        awaitable on the async client, whose ``call`` is a coroutine).
+        """
+        from repro.rpc import stats as stats_mod
 
-    def call(
-        self,
-        destination: Address,
-        prog: int,
-        vers: int,
-        proc: int,
-        args: Any = None,
-        timeout: Optional[float] = None,
-        retries: Optional[int] = None,
-        context: Optional[CallContext] = None,
-    ) -> Any:
-        """Call and decode; raises a typed :class:`RpcError` on failure."""
-        reply = self.call_raw(
-            destination, prog, vers, proc,
-            CODECS.encode_args(prog, vers, proc, args), timeout, retries,
-            context,
-        )
-        return reply_to_result(reply, destination, prog, vers, proc)
+        return stats_mod.fetch(self, destination, **kwargs)
 
     def call_raw(
         self,
@@ -233,19 +215,39 @@ class RpcClient:
         timeout: Optional[float] = None,
         retries: Optional[int] = None,
         context: Optional[CallContext] = None,
-    ) -> RpcReply:
-        """Send pre-encoded bytes and return the raw reply."""
+    ) -> Any:
+        """Send pre-encoded bytes and return the raw reply.
+
+        On the async client the result is awaitable.
+        """
+        return self._drive(self._in_call_scope(
+            context, timeout, retries, f"call {prog}:{proc}",
+            lambda ctx, span: self._call_attempts(
+                ctx, destination, prog, vers, proc, body, span
+            ),
+        ), self._perform)
+
+    def _in_call_scope(
+        self,
+        context: Optional[CallContext],
+        timeout: Optional[float],
+        retries: Optional[int],
+        operation: str,
+        engine: Callable[[CallContext, SpanRecord], Engine],
+    ) -> Engine:
+        """Run ``engine`` under the call's context and ``rpc`` span."""
         ambient = current_context() if context is None else None
-        ctx = self._effective_context(context, timeout, retries, ambient)
+        ctx = resolve_context(
+            context, timeout, retries, ambient,
+            self.timeout, self.retries, self.transport.now(),
+        )
         # A shim built with no ambient request owns its chain: nobody
         # else will ever see it, so flush it at the reply boundary
         # (a no-op unless an exporter is installed).
         owns_chain = context is None and ambient is None
         try:
-            with ctx.span("rpc", f"call {prog}:{proc}", self.transport.now) as span:
-                return self._call_attempts(
-                    ctx, destination, prog, vers, proc, body, span
-                )
+            with ctx.span("rpc", operation, self.transport.now) as span:
+                return (yield from engine(ctx, span))
         finally:
             if owns_chain:
                 flush_context(ctx)
@@ -259,7 +261,8 @@ class RpcClient:
         proc: int,
         body: bytes,
         span: Optional[SpanRecord] = None,
-    ) -> RpcReply:
+    ) -> Engine:
+        """The attempt loop: same-xid retransmission on the deadline budget."""
         now = self.transport.now()
         labels = (str(prog), str(proc))
         if ctx.expired(now):
@@ -294,9 +297,9 @@ class RpcClient:
                         span.add_event("retransmission", at=now, attempt=attempt)
                 self.calls_sent += 1
                 wait = ctx.attempt_timeout(now, attempts - attempt)
-                self._send_call(destination, encoded, ctx.deadline)
-                if self.transport.wait(lambda: xid in self._pending, wait):
-                    reply = self._pending.pop(xid)
+                yield SEND, destination, encoded, ctx.deadline
+                reply = yield WAIT, xid, wait
+                if reply is not None:
                     if reply.status is ReplyStatus.SHED:
                         METRICS.inc("rpc.client.shed_received", labels)
                         if span is not None:
@@ -317,15 +320,92 @@ class RpcClient:
         finally:
             self.retire_xid(xid)
 
+    def _send(
+        self, destination: Address, payload: Any, deadline: Optional[float]
+    ) -> None:
+        """Perform a ``SEND``: one CALL, or a list shipped as batches."""
+        if isinstance(payload, list):
+            self._send_batches(destination, payload)
+        else:
+            self._send_call(destination, payload, deadline)
+
     def _send_call(
         self, destination: Address, encoded: bytes, deadline: Optional[float]
     ) -> None:
         """Put one encoded CALL on the wire.
 
-        The seam :class:`BatchingClient` overrides to coalesce writes;
-        the base client writes immediately, one message per payload.
+        The seam the batching clients override to coalesce writes; the
+        base client writes immediately, one message per payload.
         """
         self.transport.send(destination, encoded)
+
+    def close(self) -> None:
+        dispatcher_for(self.transport).client = None
+
+
+class RpcClient(ClientCore):
+    """Issues calls over a transport.
+
+    Retransmits with the *same* xid on timeout so the server's at-most-once
+    cache can suppress re-execution.  Timing is governed by a
+    :class:`~repro.context.CallContext`: each attempt's wait is carved out
+    of the context's *remaining* deadline budget
+    (:meth:`CallContext.attempt_timeout`).  The legacy ``timeout``/
+    ``retries`` kwargs remain as a shim that builds an equivalent context
+    with total budget ``timeout * (retries + 1)``.
+
+    Calls made while serving an RPC (e.g. a trader forwarding a federated
+    import) inherit the ambient server-side context automatically, so one
+    deadline and one trace id cover the whole cascade.
+
+    This is the blocking driver of :class:`ClientCore`'s engines: a
+    ``WAIT`` blocks in ``transport.wait`` until the reply lands in
+    ``_pending``.
+    """
+
+    _drive = staticmethod(drive)
+
+    def _deliver(self, reply: RpcReply) -> bool:
+        self._pending[reply.xid] = reply
+        return True
+
+    def retire_xid(self, xid: int) -> None:
+        """Mark ``xid`` finished: later replies for it are dropped."""
+        self._pending.pop(xid, None)
+        self._retired.add(xid)
+
+    def _perform(self, effect: tuple) -> Any:
+        kind = effect[0]
+        if kind == SEND:
+            return self._send(effect[1], effect[2], effect[3])
+        pending = self._pending
+        if kind == WAIT:
+            xid = effect[1]
+            if self.transport.wait(lambda: xid in pending, effect[2]):
+                return pending.pop(xid)
+            return None
+        xids = effect[1]
+        self.transport.wait(lambda: all(x in pending for x in xids), effect[2])
+        return {xid: pending.pop(xid) for xid in xids if xid in pending}
+
+    def call(
+        self,
+        destination: Address,
+        prog: int,
+        vers: int,
+        proc: int,
+        args: Any = None,
+        timeout: Optional[float] = None,
+        retries: Optional[int] = None,
+        context: Optional[CallContext] = None,
+    ) -> Any:
+        """Call and decode; raises a typed :class:`RpcError` on failure."""
+        reply = self.call_raw(
+            destination, prog, vers, proc,
+            CODECS.encode_args(prog, vers, proc, args), timeout, retries,
+            context,
+        )
+        return reply_to_result(reply, destination, prog, vers, proc)
 
     def ping(self, destination: Address, prog: int, vers: int = 1) -> bool:
         """True when the destination answers procedure 0 (NULL proc)."""
@@ -334,19 +414,6 @@ class RpcClient:
             return True
         except RpcError:
             return False
-
-    def stats(self, destination: Address, **kwargs: Any) -> Dict[str, Any]:
-        """Fetch the STATS snapshot from the server at ``destination``.
-
-        Every :class:`~repro.rpc.server.RpcServer` serves the well-known
-        stats program; this is the client-side one-liner for it.
-        """
-        from repro.rpc import stats as stats_mod
-
-        return stats_mod.fetch(self, destination, **kwargs)
-
-    def close(self) -> None:
-        dispatcher_for(self.transport).client = None
 
 
 class BatchBuffer:
@@ -437,7 +504,158 @@ class BatchBuffer:
         return payloads
 
 
-class BatchingClient(RpcClient):
+class BatchingCore:
+    """The ``call_many`` engine and BATCH chunking both batching clients share.
+
+    Mixed in ahead of a :class:`ClientCore` subclass, which drives the
+    engine; the subclass supplies the ``max_batch``/``max_bytes``
+    watermarks and sets ``batches_sent``.
+    """
+
+    def call_many(
+        self,
+        destination: Address,
+        calls: Sequence[Tuple[int, int, int, Any]],
+        timeout: Optional[float] = None,
+        retries: Optional[int] = None,
+        context: Optional[CallContext] = None,
+    ) -> Any:
+        """Issue many ``(prog, vers, proc, args)`` calls as batches.
+
+        Returns outcomes in call order (awaitable on the async client):
+        the decoded result, or the typed :class:`RpcError` instance that
+        call would have raised.  All calls share one context (one
+        deadline budget, one trace); replies are awaited collectively and
+        only the missing xids are retransmitted.
+        """
+        return self._drive(
+            self._call_many_engine(destination, calls, timeout, retries, context),
+            self._perform,
+        )
+
+    def _call_many_engine(
+        self,
+        destination: Address,
+        calls: Sequence[Tuple[int, int, int, Any]],
+        timeout: Optional[float],
+        retries: Optional[int],
+        context: Optional[CallContext],
+    ) -> Engine:
+        calls = list(calls)
+        if not calls:
+            return []
+        return (yield from self._in_call_scope(
+            context, timeout, retries, f"call_many x{len(calls)}",
+            lambda ctx, span: self._batch_attempts(ctx, destination, calls),
+        ))
+
+    def _batch_attempts(
+        self,
+        ctx: CallContext,
+        destination: Address,
+        calls: Sequence[Tuple[int, int, int, Any]],
+    ) -> Engine:
+        entries = []
+        sampled = sampling.mark(ctx)
+        for prog, vers, proc, args in calls:
+            xid = next(self._xid_counter)
+            call = RpcCall(
+                xid, prog, vers, proc,
+                CODECS.encode_args(prog, vers, proc, args),
+                deadline=ctx.deadline, trace_id=ctx.trace_id, hops=ctx.hops,
+                sampled=sampled,
+            )
+            entries.append((xid, prog, vers, proc, call.encode()))
+        try:
+            replies = yield from self._collect_replies(ctx, destination, entries)
+            expired = ctx.expired(self.transport.now())
+            outcomes: List[Any] = []
+            for xid, prog, vers, proc, __ in entries:
+                reply = replies.get(xid)
+                if reply is None:
+                    if expired:
+                        outcomes.append(DeadlineExceeded(
+                            f"no reply from {destination} for prog={prog} "
+                            f"proc={proc} within the deadline "
+                            f"(trace {ctx.trace_id})"
+                        ))
+                    else:
+                        outcomes.append(RpcTimeout(
+                            f"no reply from {destination} for prog={prog} "
+                            f"proc={proc} after {ctx.retry.attempts} attempt(s)"
+                        ))
+                    continue
+                try:
+                    outcomes.append(
+                        reply_to_result(reply, destination, prog, vers, proc)
+                    )
+                except RpcError as error:
+                    outcomes.append(error)
+            return outcomes
+        finally:
+            for xid, *__ in entries:
+                self.retire_xid(xid)
+
+    def _collect_replies(
+        self, ctx: CallContext, destination: Address, entries
+    ) -> Engine:
+        """Send batches and gather replies, retransmitting only gaps."""
+        replies: Dict[int, RpcReply] = {}
+        outstanding = {
+            xid: (prog, proc, encoded)
+            for xid, prog, vers, proc, encoded in entries
+        }
+        attempts = ctx.retry.attempts
+        for attempt in range(attempts):
+            now = self.transport.now()
+            if ctx.expired(now):
+                break
+            if attempt:
+                for prog, proc, __ in outstanding.values():
+                    self.retransmissions += 1
+                    METRICS.inc(
+                        "rpc.client.retransmissions", (str(prog), str(proc))
+                    )
+            self.calls_sent += len(outstanding)
+            yield (
+                SEND, destination,
+                [encoded for __, __, encoded in outstanding.values()], None,
+            )
+            wait = ctx.attempt_timeout(now, attempts - attempt)
+            arrived = yield WAIT_ALL, list(outstanding), wait
+            for xid, reply in arrived.items():
+                replies[xid] = reply
+                del outstanding[xid]
+            if not outstanding:
+                break
+        return replies
+
+    def _send_batches(
+        self, destination: Address, encoded_calls: List[bytes]
+    ) -> None:
+        """Ship encoded CALLs in watermark-sized BATCH payloads."""
+        chunk: List[bytes] = []
+        chunk_bytes = 0
+        for encoded in encoded_calls:
+            if chunk and (
+                len(chunk) >= self.max_batch
+                or chunk_bytes + len(encoded) > self.max_bytes
+            ):
+                self._send_batch(destination, chunk)
+                chunk, chunk_bytes = [], 0
+            chunk.append(encoded)
+            chunk_bytes += len(encoded)
+        if chunk:
+            self._send_batch(destination, chunk)
+
+    def _send_batch(self, destination: Address, payloads: List[bytes]) -> None:
+        self.batches_sent += 1
+        METRICS.inc("rpc.client.batches_sent")
+        METRICS.observe("rpc.client.batch_size", float(len(payloads)))
+        self.transport.send(destination, b"".join(payloads))
+
+
+class BatchingClient(BatchingCore, RpcClient):
     """RPC client that coalesces concurrent calls into BATCH writes.
 
     Two modes, freely mixed:
@@ -476,6 +694,14 @@ class BatchingClient(RpcClient):
         self.batches_sent = 0
         self._buffer = BatchBuffer(max_batch, max_bytes, flush_slack)
 
+    @property
+    def max_batch(self) -> int:
+        return self._buffer.max_batch
+
+    @property
+    def max_bytes(self) -> int:
+        return self._buffer.max_bytes
+
     # -- transparent coalescing -------------------------------------------
 
     def _send_call(
@@ -501,141 +727,3 @@ class BatchingClient(RpcClient):
         # "wait": the current leader (or a watermark) flushes it for us
         # within ``linger``.
 
-    # -- explicit batch API -----------------------------------------------
-
-    def call_many(
-        self,
-        destination: Address,
-        calls: Sequence[Tuple[int, int, int, Any]],
-        timeout: Optional[float] = None,
-        retries: Optional[int] = None,
-        context: Optional[CallContext] = None,
-    ) -> List[Any]:
-        """Issue many ``(prog, vers, proc, args)`` calls as batches.
-
-        Returns outcomes in call order: the decoded result, or the
-        typed :class:`RpcError` instance that call would have raised.
-        All calls share one context (one deadline budget, one trace).
-        """
-        calls = list(calls)
-        if not calls:
-            return []
-        ambient = current_context() if context is None else None
-        ctx = self._effective_context(context, timeout, retries, ambient)
-        owns_chain = context is None and ambient is None
-        try:
-            with ctx.span(
-                "rpc", f"call_many x{len(calls)}", self.transport.now
-            ):
-                return self._batch_attempts(ctx, destination, calls)
-        finally:
-            if owns_chain:
-                flush_context(ctx)
-
-    def _batch_attempts(
-        self,
-        ctx: CallContext,
-        destination: Address,
-        calls: Sequence[Tuple[int, int, int, Any]],
-    ) -> List[Any]:
-        entries = []
-        sampled = sampling.mark(ctx)
-        for prog, vers, proc, args in calls:
-            xid = next(self._xid_counter)
-            call = RpcCall(
-                xid, prog, vers, proc,
-                CODECS.encode_args(prog, vers, proc, args),
-                deadline=ctx.deadline, trace_id=ctx.trace_id, hops=ctx.hops,
-                sampled=sampled,
-            )
-            entries.append((xid, prog, vers, proc, call.encode()))
-        try:
-            replies = self._collect_replies(ctx, destination, entries)
-            expired = ctx.expired(self.transport.now())
-            outcomes: List[Any] = []
-            for xid, prog, vers, proc, __ in entries:
-                reply = replies.get(xid)
-                if reply is None:
-                    if expired:
-                        outcomes.append(DeadlineExceeded(
-                            f"no reply from {destination} for prog={prog} "
-                            f"proc={proc} within the deadline "
-                            f"(trace {ctx.trace_id})"
-                        ))
-                    else:
-                        outcomes.append(RpcTimeout(
-                            f"no reply from {destination} for prog={prog} "
-                            f"proc={proc} after {ctx.retry.attempts} attempt(s)"
-                        ))
-                    continue
-                try:
-                    outcomes.append(
-                        reply_to_result(reply, destination, prog, vers, proc)
-                    )
-                except RpcError as error:
-                    outcomes.append(error)
-            return outcomes
-        finally:
-            for xid, *__ in entries:
-                self.retire_xid(xid)
-
-    def _collect_replies(
-        self, ctx: CallContext, destination: Address, entries
-    ) -> Dict[int, RpcReply]:
-        """Send batches and gather replies, retransmitting only gaps."""
-        replies: Dict[int, RpcReply] = {}
-        outstanding = {
-            xid: (prog, proc, encoded)
-            for xid, prog, vers, proc, encoded in entries
-        }
-        attempts = ctx.retry.attempts
-        for attempt in range(attempts):
-            now = self.transport.now()
-            if ctx.expired(now):
-                break
-            if attempt:
-                for prog, proc, __ in outstanding.values():
-                    self.retransmissions += 1
-                    METRICS.inc(
-                        "rpc.client.retransmissions", (str(prog), str(proc))
-                    )
-            self.calls_sent += len(outstanding)
-            self._send_batches(
-                destination, [encoded for __, __, encoded in outstanding.values()]
-            )
-            wait = ctx.attempt_timeout(now, attempts - attempt)
-            self.transport.wait(
-                lambda: all(xid in self._pending for xid in outstanding), wait
-            )
-            for xid in list(outstanding):
-                reply = self._pending.pop(xid, None)
-                if reply is not None:
-                    replies[xid] = reply
-                    del outstanding[xid]
-            if not outstanding:
-                break
-        return replies
-
-    def _send_batches(
-        self, destination: Address, encoded_calls: List[bytes]
-    ) -> None:
-        """Ship encoded CALLs in watermark-sized BATCH payloads."""
-        chunk: List[bytes] = []
-        chunk_bytes = 0
-        for encoded in encoded_calls:
-            if chunk and (
-                len(chunk) >= self._buffer.max_batch
-                or chunk_bytes + len(encoded) > self._buffer.max_bytes
-            ):
-                self._send_batch(destination, chunk)
-                chunk, chunk_bytes = [], 0
-            chunk.append(encoded)
-            chunk_bytes += len(encoded)
-        if chunk:
-            self._send_batch(destination, chunk)
-
-    def _send_batch(self, destination: Address, payloads: List[bytes]) -> None:
-        self.batches_sent += 1
-        METRICS.inc("rpc.client.batches_sent")
-        METRICS.observe("rpc.client.batch_size", float(len(payloads)))
-        self.transport.send(destination, b"".join(payloads))

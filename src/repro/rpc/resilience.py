@@ -33,7 +33,6 @@ on virtual-time simulations and wall-clock TCP stacks.
 from __future__ import annotations
 
 import asyncio
-import inspect
 import random
 import threading
 from dataclasses import dataclass
@@ -42,6 +41,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, TypeVar
 from repro.context import CallContext, Clock, current_context
 from repro.errors import BindingError, CommunicationError
 from repro.rpc.client import RpcClient
+from repro.rpc.engine import ATTEMPT, SLEEP, Engine, drive, drive_async
 from repro.rpc.errors import DeadlineExceeded, RpcError, RpcTimeout, ServerShedding
 from repro.telemetry.log import LOG
 from repro.telemetry.metrics import METRICS
@@ -233,9 +233,12 @@ class CircuitBreaker:
 class ResilientCaller:
     """Failover + backoff + breakers over a ranked list of targets.
 
-    The generic engine is :meth:`run` — it drives any per-target attempt
-    callable (the rebind layer reuses it for bind-and-invoke attempts);
-    :meth:`call` is the plain RPC form over a list of addresses.
+    The failover rounds are one sans-IO engine (:mod:`repro.rpc.engine`)
+    that :meth:`run` drives with blocking sleeps and :meth:`run_async`
+    with ``asyncio.sleep``.  Both accept any per-target attempt callable
+    (the rebind layer reuses them for bind-and-invoke attempts);
+    :meth:`call` / :meth:`call_async` are the plain RPC form over a list
+    of addresses.
     """
 
     def __init__(
@@ -304,6 +307,49 @@ class ResilientCaller:
         Raises the last transient failure when everything is exhausted,
         or :class:`DeadlineExceeded` the moment the budget lapses.
         """
+
+        def perform(effect: tuple) -> Any:
+            if effect[0] == ATTEMPT:
+                return attempt(effect[1], effect[2])
+            self._client.transport.wait(lambda: False, effect[1])
+
+        return drive(self._rounds(targets, ctx, key, operation), perform)
+
+    async def run_async(
+        self,
+        targets: Sequence[T],
+        attempt: Callable[[T, Optional[CallContext]], Any],
+        ctx: Optional[CallContext] = None,
+        key: Callable[[T], str] = str,
+        operation: str = "call",
+    ) -> Any:
+        """:meth:`run`'s engine under the async driver.
+
+        Same slicing, breaker, and failover semantics; backoff pauses are
+        ``await asyncio.sleep`` (virtual seconds on a
+        :class:`~repro.net.aioclock.SimEventLoop`) instead of blocking
+        transport waits, so concurrent failover rounds interleave on one
+        event loop.  ``attempt`` may be a coroutine function or a plain
+        callable returning an awaitable; plain results pass through.
+        """
+
+        def perform(effect: tuple) -> Any:
+            if effect[0] == ATTEMPT:
+                return attempt(effect[1], effect[2])
+            return asyncio.sleep(effect[1])
+
+        return await drive_async(
+            self._rounds(targets, ctx, key, operation), perform
+        )
+
+    def _rounds(
+        self,
+        targets: Sequence[T],
+        ctx: Optional[CallContext],
+        key: Callable[[T], str],
+        operation: str,
+    ) -> Engine:
+        """The failover engine: yields ``ATTEMPT`` and ``SLEEP`` effects."""
         if not targets:
             raise ValueError("ResilientCaller.run needs at least one target")
         if ctx is None:
@@ -311,19 +357,18 @@ class ResilientCaller:
         clock = self._client.transport.now
         span_ctx = ctx if ctx is not None else CallContext.background()
         with span_ctx.span("resilience", operation, clock) as span:
-            return self._run_rounds(
-                list(targets), attempt, ctx, key, span, clock
-            )
+            return (yield from self._run_rounds(
+                list(targets), ctx, key, span, clock
+            ))
 
     def _run_rounds(
         self,
         targets: List[T],
-        attempt: Callable[[T, Optional[CallContext]], Any],
         ctx: Optional[CallContext],
         key: Callable[[T], str],
         span,
         clock: Clock,
-    ) -> Any:
+    ) -> Engine:
         last_error: Optional[BaseException] = None
         delay = self.backoff.first()
         first_attempt = True
@@ -342,7 +387,7 @@ class ResilientCaller:
                 if not first_attempt:
                     # Every attempt after the first is a failover (or a
                     # new round's retry): pause first, then move on.
-                    delay = self._sleep_backoff(ctx, delay, span, clock)
+                    delay = yield from self._sleep_backoff(ctx, delay, span, clock)
                     if ctx is not None and ctx.expired(clock()):
                         raise self._deadline_error(ctx, last_error)
                     self.failovers += 1
@@ -362,7 +407,7 @@ class ResilientCaller:
                 first_attempt = False
                 child = self._attempt_context(ctx, len(targets) - position)
                 try:
-                    result = attempt(target, child)
+                    result = yield ATTEMPT, target, child
                 except BaseException as exc:  # noqa: BLE001 - classified below
                     now = clock()
                     if _is_deadline(exc):
@@ -393,125 +438,9 @@ class ResilientCaller:
             raise last_error
         raise CircuitOpen("no attempt could be made within the round budget")
 
-    async def run_async(
-        self,
-        targets: Sequence[T],
-        attempt: Callable[[T, Optional[CallContext]], Any],
-        ctx: Optional[CallContext] = None,
-        key: Callable[[T], str] = str,
-        operation: str = "call",
-    ) -> Any:
-        """Coroutine twin of :meth:`run` for the async RPC stack.
-
-        Same slicing, breaker, and failover semantics; backoff pauses are
-        ``await asyncio.sleep`` (virtual seconds on a
-        :class:`~repro.net.aioclock.SimEventLoop`) instead of blocking
-        transport waits, so concurrent failover rounds interleave on one
-        event loop.  ``attempt`` may be a coroutine function or a plain
-        callable returning an awaitable; plain results pass through.
-        """
-        if not targets:
-            raise ValueError("ResilientCaller.run_async needs at least one target")
-        if ctx is None:
-            ctx = current_context()
-        clock = self._client.transport.now
-        span_ctx = ctx if ctx is not None else CallContext.background()
-        with span_ctx.span("resilience", operation, clock) as span:
-            return await self._run_rounds_async(
-                list(targets), attempt, ctx, key, span, clock
-            )
-
-    async def _run_rounds_async(
-        self,
-        targets: List[T],
-        attempt: Callable[[T, Optional[CallContext]], Any],
-        ctx: Optional[CallContext],
-        key: Callable[[T], str],
-        span,
-        clock: Clock,
-    ) -> Any:
-        last_error: Optional[BaseException] = None
-        delay = self.backoff.first()
-        first_attempt = True
-        for round_index in range(self.rounds):
-            attempted = 0
-            for position, target in enumerate(targets):
-                now = clock()
-                if ctx is not None and ctx.expired(now):
-                    raise self._deadline_error(ctx, last_error)
-                endpoint = key(target)
-                breaker = self.breaker_for(endpoint)
-                if not breaker.allow(now):
-                    span.add_event("breaker_open", at=now, endpoint=endpoint)
-                    METRICS.inc("rpc.breaker.skipped", (endpoint,))
-                    continue
-                if not first_attempt:
-                    delay = await self._sleep_backoff_async(ctx, delay, span, clock)
-                    if ctx is not None and ctx.expired(clock()):
-                        raise self._deadline_error(ctx, last_error)
-                    self.failovers += 1
-                    METRICS.inc("rpc.failover.attempts", (endpoint,))
-                    span.add_event("failover", at=clock(), endpoint=endpoint,
-                                   round=round_index)
-                    if LOG.active:
-                        LOG.event(
-                            "rpc.failover",
-                            level="warning",
-                            at=clock(),
-                            endpoint=endpoint,
-                            round=round_index,
-                            candidates_left=len(targets) - position,
-                        )
-                attempted += 1
-                first_attempt = False
-                child = self._attempt_context(ctx, len(targets) - position)
-                try:
-                    result = attempt(target, child)
-                    if inspect.isawaitable(result):
-                        result = await result
-                except asyncio.CancelledError:
-                    raise  # never classified: cancellation wins
-                except BaseException as exc:  # noqa: BLE001 - classified below
-                    now = clock()
-                    if _is_deadline(exc):
-                        if ctx is None or ctx.expired(now):
-                            if isinstance(exc, DeadlineExceeded):
-                                raise
-                            raise self._deadline_error(ctx, exc) from exc
-                        # only this attempt's slice expired; keep going
-                    elif not transient(exc):
-                        raise
-                    breaker.record_failure(now)
-                    last_error = exc
-                    continue
-                breaker.record_success(clock())
-                return result
-            if attempted == 0:
-                raise CircuitOpen(
-                    f"all {len(targets)} candidate endpoint(s) have open "
-                    f"circuit breakers"
-                )
-        if last_error is not None:
-            raise last_error
-        raise CircuitOpen("no attempt could be made within the round budget")
-
-    async def _sleep_backoff_async(
-        self, ctx: Optional[CallContext], delay: float, span, clock: Clock
-    ) -> float:
-        """:meth:`_sleep_backoff` without blocking the event loop."""
-        now = clock()
-        wait = delay if ctx is None else min(delay, ctx.remaining(now))
-        if wait > 0:
-            span.add_event("backoff", at=now, delay=wait)
-            self.backoff_sleeps += wait
-            METRICS.inc("rpc.backoff.sleeps")
-            METRICS.observe("rpc.backoff.seconds", wait)
-            await asyncio.sleep(wait)
-        return self.backoff.next_delay(delay, self._rng)
-
     def _sleep_backoff(
         self, ctx: Optional[CallContext], delay: float, span, clock: Clock
-    ) -> float:
+    ) -> Engine:
         """Sleep the current delay (clamped to the budget); returns the
         next decorrelated-jitter delay."""
         now = clock()
@@ -521,7 +450,7 @@ class ResilientCaller:
             self.backoff_sleeps += wait
             METRICS.inc("rpc.backoff.sleeps")
             METRICS.observe("rpc.backoff.seconds", wait)
-            self._client.transport.wait(lambda: False, wait)
+            yield SLEEP, wait
         return self.backoff.next_delay(delay, self._rng)
 
     def _attempt_context(
@@ -558,16 +487,9 @@ class ResilientCaller:
         ctx: Optional[CallContext] = None,
     ) -> Any:
         """``RpcClient.call`` with failover across ``destinations``."""
-
-        def attempt(destination: Any, child: Optional[CallContext]) -> Any:
-            return self._client.call(
-                destination, prog, vers, proc, args, context=child
-            )
-
         return self.run(
-            destinations, attempt, ctx=ctx,
-            key=lambda d: f"{d.host}:{d.port}",
-            operation=f"call {prog}:{proc}",
+            destinations, self._rpc_attempt(prog, vers, proc, args), ctx=ctx,
+            key=_address_key, operation=f"call {prog}:{proc}",
         )
 
     async def call_async(
@@ -585,14 +507,18 @@ class ResilientCaller:
         :class:`~repro.rpc.aio.AsyncRpcClient` (its ``call`` returns an
         awaitable, which the engine awaits per attempt).
         """
-
-        def attempt(destination: Any, child: Optional[CallContext]) -> Any:
-            return self._client.call(
-                destination, prog, vers, proc, args, context=child
-            )
-
         return await self.run_async(
-            destinations, attempt, ctx=ctx,
-            key=lambda d: f"{d.host}:{d.port}",
-            operation=f"call {prog}:{proc}",
+            destinations, self._rpc_attempt(prog, vers, proc, args), ctx=ctx,
+            key=_address_key, operation=f"call {prog}:{proc}",
         )
+
+    def _rpc_attempt(
+        self, prog: int, vers: int, proc: int, args: Any
+    ) -> Callable[[Any, Optional[CallContext]], Any]:
+        return lambda destination, child: self._client.call(
+            destination, prog, vers, proc, args, context=child
+        )
+
+
+def _address_key(destination: Any) -> str:
+    return f"{destination.host}:{destination.port}"

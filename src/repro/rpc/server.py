@@ -244,10 +244,6 @@ class RpcServer:
     retransmission may be admitted once load clears.
     """
 
-    #: Dispatcher hint: this server performs its own deadline/admission
-    #: checks, so the dispatcher hands calls straight through.
-    owns_admission = True
-
     def __init__(
         self,
         transport: Transport,

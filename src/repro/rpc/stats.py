@@ -206,9 +206,10 @@ def build_snapshot(server: Any) -> Dict[str, Any]:
 def fetch(client: Any, destination: Any, **kwargs: Any) -> Dict[str, Any]:
     """Pull one snapshot from the server at ``destination``.
 
-    ``client`` is a sync :class:`~repro.rpc.client.RpcClient`;
-    keyword arguments (``ctx=``, ``timeout=``) pass through to
-    :meth:`~repro.rpc.client.RpcClient.call`.
+    ``client`` is an :class:`~repro.rpc.client.RpcClient` (or an
+    :class:`~repro.rpc.aio.AsyncRpcClient`, for which the result is
+    awaitable); keyword arguments (``ctx=``, ``timeout=``) pass through
+    to its ``call``.
     """
     return client.call(destination, STATS_PROGRAM, STATS_VERSION, PROC_SNAPSHOT, **kwargs)
 

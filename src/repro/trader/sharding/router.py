@@ -375,11 +375,10 @@ class ShardRouter:
         ref: Union[ServiceRef, Dict[str, Any]],
         properties: Dict[str, Any],
         now: float = 0.0,
-        lifetime: Optional[float] = None,
         lease_seconds: Optional[float] = None,
     ) -> str:
         offer_id = self._route_write(
-            "export", service_type, service_type, ref, properties, now, lifetime,
+            "export", service_type, service_type, ref, properties, now,
             lease_seconds,
         )
         self.exports_accepted += 1
@@ -402,9 +401,6 @@ class ShardRouter:
             self._handles[shard_id].call("expire_offers", now)
             for shard_id in self.map.shard_ids
         )
-
-    def purge_expired(self, now: float) -> int:
-        return self.expire_offers(now)
 
     def _type_of_offer(self, offer_id: str) -> str:
         """Offer ids are ``prefix:type:n`` — placement needs no lookup."""

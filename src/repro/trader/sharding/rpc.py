@@ -200,12 +200,11 @@ class RemoteShardBackend:
         ref,
         properties: Dict[str, Any],
         now: float = 0.0,
-        lifetime: Optional[float] = None,
         lease_seconds: Optional[float] = None,
     ) -> str:
         # ``now`` is the remote node's clock concern; the wire op carries
         # only the lease terms, exactly as any exporter client would.
-        return self._trader.export(service_type, ref, properties, lifetime, lease_seconds)
+        return self._trader.export(service_type, ref, properties, lease_seconds)
 
     def withdraw(self, offer_id: str) -> bool:
         return self._trader.withdraw(offer_id)

@@ -121,13 +121,12 @@ class TraderShard:
         ref: Union[ServiceRef, Dict[str, Any]],
         properties: Dict[str, Any],
         now: float = 0.0,
-        lifetime: Optional[float] = None,
         lease_seconds: Optional[float] = None,
     ) -> str:
         self._require_primary("export")
         self._require_unsealed(service_type, "export")
         offer_id = self.trader.export(
-            service_type, ref, properties, now, lifetime, lease_seconds
+            service_type, ref, properties, now, lease_seconds
         )
         offer = self.trader.offers.get(offer_id)
         self._log("export", {"offer": offer.to_wire()})

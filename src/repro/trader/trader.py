@@ -210,7 +210,6 @@ class LocalTrader:
         ref: Union[ServiceRef, Dict[str, Any]],
         properties: Dict[str, Any],
         now: float = 0.0,
-        lifetime: Optional[float] = None,
         lease_seconds: Optional[float] = None,
     ) -> str:
         """Register a service offer; returns the offer id.
@@ -219,11 +218,8 @@ class LocalTrader:
         matching at ``now + lease_seconds`` unless the exporter refreshes
         it via :meth:`renew` (the RENEW wire operation — service runtimes
         heartbeat it).  ``None`` keeps the historical behaviour: the
-        offer lives until withdrawn.  ``lifetime`` is the legacy spelling
-        of the same grant — a lifetime-exported offer is renewable too.
+        offer lives until withdrawn.
         """
-        if lease_seconds is None:
-            lease_seconds = lifetime
         declared = self.types.get(service_type)
         checked = declared.check_properties(properties)
         ref_wire = ref.to_wire() if isinstance(ref, ServiceRef) else dict(ref)
@@ -282,10 +278,6 @@ class LocalTrader:
                         mode="swept",
                     )
         return len(expired)
-
-    def purge_expired(self, now: float) -> int:
-        """Legacy alias for :meth:`expire_offers`."""
-        return self.expire_offers(now)
 
     def withdraw(self, offer_id: str) -> ServiceOffer:
         offer = self.offers.remove(offer_id)
@@ -657,13 +649,17 @@ class TraderService:
     # -- handlers ---------------------------------------------------------------
 
     def _export(self, args) -> str:
+        # ``lifetime`` is the wire field's older spelling of the lease: a
+        # peer that predates ``lease_seconds`` sends only that.
+        lease_seconds = args.get("lease_seconds")
+        if lease_seconds is None:
+            lease_seconds = args.get("lifetime")
         return self.trader.export(
             args["service_type"],
             args["ref"],
             args["properties"],
             self._now(),
-            args.get("lifetime"),
-            args.get("lease_seconds"),
+            lease_seconds,
         )
 
     def _renew(self, args) -> Optional[float]:
@@ -713,7 +709,6 @@ class TraderClient:
         service_type: str,
         ref: Union[ServiceRef, Dict[str, Any]],
         properties: Dict[str, Any],
-        lifetime: Optional[float] = None,
         lease_seconds: Optional[float] = None,
     ) -> str:
         ref_wire = ref.to_wire() if isinstance(ref, ServiceRef) else ref
@@ -723,7 +718,7 @@ class TraderClient:
                 "service_type": service_type,
                 "ref": ref_wire,
                 "properties": properties,
-                "lifetime": lifetime,
+                "lifetime": None,
                 "lease_seconds": lease_seconds,
             },
         )

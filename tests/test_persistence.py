@@ -40,7 +40,7 @@ def populated_trader():
         ServiceRef.create("r1", Address("h", 1), 4711),
         {"ChargePerDay": 80.0},
         now=7.0,
-        lifetime=100.0,
+        lease_seconds=100.0,
     )
     return trader
 
@@ -240,7 +240,7 @@ def _migration_world(tmp_path):
             ServiceRef.create(f"r{index}", Address("h", index), 1),
             {"ChargePerDay": 10.0 + index},
             now=0.0,
-            lifetime=600.0,
+            lease_seconds=600.0,
         )
     checkpoints = FileCheckpoints(tmp_path / "checkpoints")
     coordinator = MigrationCoordinator(router, checkpoints=checkpoints, chunk_size=1)

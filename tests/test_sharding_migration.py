@@ -360,7 +360,6 @@ def test_sealed_donor_write_is_forwarded_not_failed():
             ServiceRef.create("direct", Address("h", 4), 1),
             {"ChargePerDay": 4.0},
             0.0,
-            None,
             600.0,
         )
     # …but through the router the same write lands on the other side.

@@ -45,6 +45,45 @@ def test_remote_export_import_cycle(stack):
     assert offers[0].service_ref() == ref
 
 
+def test_export_from_an_older_peer_takes_lifetime_as_the_lease(stack, make_client):
+    """A peer that predates ``lease_seconds`` sends only ``lifetime``."""
+    service, __ = stack
+    from repro.trader.trader import TRADER_PROGRAM, _PROC_EXPORT
+
+    ref = ServiceRef.create("old-peer", Address("h", 3), 4711)
+    offer_id = make_client().call(
+        service.address, TRADER_PROGRAM, 1, _PROC_EXPORT,
+        {
+            "service_type": "CarRentalService",
+            "ref": ref.to_wire(),
+            "properties": PROPS,
+            "lifetime": 30.0,
+            "lease_seconds": None,
+        },
+    )
+    offer = service.trader.offers.get(offer_id)
+    assert offer.lease_seconds == 30.0
+    assert offer.expires_at == 30.0
+
+
+def test_lease_seconds_wins_over_lifetime_on_the_wire(stack, make_client):
+    service, __ = stack
+    from repro.trader.trader import TRADER_PROGRAM, _PROC_EXPORT
+
+    ref = ServiceRef.create("new-peer", Address("h", 4), 4711)
+    offer_id = make_client().call(
+        service.address, TRADER_PROGRAM, 1, _PROC_EXPORT,
+        {
+            "service_type": "CarRentalService",
+            "ref": ref.to_wire(),
+            "properties": PROPS,
+            "lifetime": 30.0,
+            "lease_seconds": 5.0,
+        },
+    )
+    assert service.trader.offers.get(offer_id).lease_seconds == 5.0
+
+
 def test_remote_withdraw_and_modify(stack):
     __, client = stack
     ref = ServiceRef.create("rental", Address("h", 2), 4711)
