@@ -10,10 +10,12 @@ the wire fast lane lowers.
 import pytest
 
 from benchmarks.conftest import Stack
-from repro.rpc.codec import CompiledCodec
+from repro.naming.refs import ServiceRef
+from repro.rpc.codec import CODECS, CompiledCodec
 from repro.rpc.server import RpcProgram
 from repro.rpc.xdr import decode_value, encode_value
 from repro.sidl import layout
+from repro.trader.trader import _PROC_IMPORT, TRADER_PROGRAM
 
 PROG = 910000
 
@@ -40,6 +42,46 @@ WIDE_VALUE = {
     "site": "site-b.example",
     "matches": [{"rank": rank, "score": rank * 0.5} for rank in range(8)],
 }
+
+#: The trader's IMPORT reply: a list of ``Offer_t`` records (layout
+#: derived from the trader's SID), each with a tagged ``properties`` leaf.
+OFFERS_SPEC = CODECS.lookup(TRADER_PROGRAM, 1, _PROC_IMPORT, "result").spec
+
+
+def offer_records(count: int):
+    """``count`` offers shaped like a rental directory's IMPORT reply."""
+    return [
+        {
+            "offer_id": f"bench:Rental3:{index}",
+            "service_type": "Rental3",
+            "ref": ServiceRef(
+                f"cosm:RentalDesk{index}:10.0.0.{index}:7001:{index}",
+                f"RentalDesk{index}",
+                f"10.0.0.{index}",
+                7001,
+                300000 + index,
+                1,
+            ).to_wire(),
+            "properties": {
+                "ChargePerDay": 20.0 + index * 1.25,
+                "City": f"City{index % 20}",
+                "Rating": 1 + index % 5,
+            },
+            "exported_at": 12.5,
+            "expires_at": 612.5,
+            "lease_seconds": 600.0,
+        }
+        for index in range(count)
+    ]
+
+
+CODEC_SHAPES = [
+    ("small", SMALL_SPEC, SMALL_VALUE),
+    ("wide", WIDE_SPEC, WIDE_VALUE),
+    ("offers10", OFFERS_SPEC, offer_records(10)),
+    ("offers50", OFFERS_SPEC, offer_records(50)),
+]
+CODEC_IDS = [shape for shape, __, __ in CODEC_SHAPES]
 
 
 def nested_value(depth: int, width: int):
@@ -81,40 +123,28 @@ def test_xdr_bytes_payload(benchmark):
     assert len(payload) > 65536
 
 
-@pytest.mark.parametrize(
-    "shape,spec,value",
-    [
-        ("small", SMALL_SPEC, SMALL_VALUE),
-        ("wide", WIDE_SPEC, WIDE_VALUE),
-    ],
-    ids=["small", "wide"],
-)
+@pytest.mark.parametrize("shape,spec,value", CODEC_SHAPES, ids=CODEC_IDS)
 def test_codec_compiled_encode(benchmark, shape, spec, value):
     codec = CompiledCodec(spec)
     payload = benchmark(lambda: codec.encode(value))
     assert len(payload) < len(encode_value(value))
 
 
-@pytest.mark.parametrize(
-    "shape,spec,value",
-    [
-        ("small", SMALL_SPEC, SMALL_VALUE),
-        ("wide", WIDE_SPEC, WIDE_VALUE),
-    ],
-    ids=["small", "wide"],
-)
+@pytest.mark.parametrize("shape,spec,value", CODEC_SHAPES, ids=CODEC_IDS)
 def test_codec_compiled_decode(benchmark, shape, spec, value):
     codec = CompiledCodec(spec)
     payload = codec.encode(value)
     assert benchmark(lambda: codec.decode(payload)) == value
 
 
-@pytest.mark.parametrize(
-    "shape,value",
-    [("small", SMALL_VALUE), ("wide", WIDE_VALUE)],
-    ids=["small", "wide"],
-)
-def test_codec_tagged_decode(benchmark, shape, value):
+@pytest.mark.parametrize("shape,spec,value", CODEC_SHAPES, ids=CODEC_IDS)
+def test_codec_tagged_encode(benchmark, shape, spec, value):
+    payload = benchmark(lambda: encode_value(value))
+    assert decode_value(payload) == value
+
+
+@pytest.mark.parametrize("shape,spec,value", CODEC_SHAPES, ids=CODEC_IDS)
+def test_codec_tagged_decode(benchmark, shape, spec, value):
     payload = encode_value(value)
     assert benchmark(lambda: decode_value(payload)) == value
 

@@ -16,6 +16,7 @@ Hosts an application object behind the uniform protocol of
 from __future__ import annotations
 
 import itertools
+from contextvars import ContextVar
 from typing import Any, Callable, Dict, Mapping, Optional, Union
 
 from repro.errors import BindingError
@@ -34,6 +35,20 @@ _auto_prog_counter = itertools.count(_AUTO_PROG_BASE)
 
 def _next_auto_prog() -> int:
     return next(_auto_prog_counter)
+
+
+#: The session whose INVOKE is running; set only around the handler call.
+_SESSION: ContextVar[Optional[str]] = ContextVar("cosm_session", default=None)
+
+
+def current_session() -> Optional[str]:
+    """The id of the binding session invoking the running operation.
+
+    ``None`` outside a runtime's INVOKE, for instance when code calls an
+    implementation directly in process, so per-session state can fall
+    back to one default slot.
+    """
+    return _SESSION.get()
 
 
 class ServiceRuntime:
@@ -82,7 +97,14 @@ class ServiceRuntime:
 
     def _unbind(self, args: Any) -> bool:
         session_id = (args or {}).get("session", "")
-        return self._sessions.pop(session_id, None) is not None
+        if session_id not in self._sessions:
+            return False
+        del self._sessions[session_id]
+        # An implementation that keeps per-session state drops it here.
+        session_ended = getattr(self.implementation, "session_ended", None)
+        if callable(session_ended):
+            session_ended(session_id)
+        return True
 
     def _invoke(self, args: Any) -> Any:
         session_id = args.get("session", "")
@@ -100,7 +122,11 @@ class ServiceRuntime:
                 fsm_session.rejections += 1
                 raise _fsm_violation(fsm_session, operation_name)
         handler = self._handler_for(operation_name)
-        result = handler(**arguments)
+        token = _SESSION.set(session_id)
+        try:
+            result = handler(**arguments)
+        finally:
+            _SESSION.reset(token)
         if self.check_types:
             try:
                 result = operation.result.check(result)

@@ -12,7 +12,9 @@ forms may carry ``octets`` values JSON cannot hold natively.
 from __future__ import annotations
 
 import json
+import os
 import pathlib
+import tempfile
 from typing import Any, Dict, Optional, Union
 
 from repro.core.browser import BrowserService
@@ -218,9 +220,40 @@ def restore_browser(browser: BrowserService, snapshot: Dict[str, Any]) -> int:
 # -- files -------------------------------------------------------------------------------
 
 
-def save_snapshot(snapshot: Dict[str, Any], path: Union[str, pathlib.Path]) -> None:
+def atomic_write(path: Union[str, pathlib.Path], text: str) -> None:
+    """Replace ``path`` with ``text``: readers see the old file or the new one.
+
+    The text goes to a temporary file in the same directory, is fsync'd,
+    and ``os.replace`` swaps it in; the directory is then fsync'd so the
+    rename itself survives a crash.  A write interrupted at any point
+    leaves the previous file whole.
+    """
     path = pathlib.Path(path)
-    path.write_text(json.dumps(_wrap(snapshot), indent=2, sort_keys=True))
+    handle, temporary = tempfile.mkstemp(
+        dir=path.parent, prefix=f".{path.name}.", suffix=".tmp"
+    )
+    try:
+        with os.fdopen(handle, "wb") as stream:
+            stream.write(text.encode("utf-8"))
+            stream.flush()
+            os.fsync(stream.fileno())
+        os.replace(temporary, path)
+    except BaseException:
+        try:
+            os.unlink(temporary)
+        except FileNotFoundError:
+            pass
+        raise
+    if hasattr(os, "O_DIRECTORY"):
+        directory = os.open(path.parent, os.O_RDONLY | os.O_DIRECTORY)
+        try:
+            os.fsync(directory)
+        finally:
+            os.close(directory)
+
+
+def save_snapshot(snapshot: Dict[str, Any], path: Union[str, pathlib.Path]) -> None:
+    atomic_write(path, json.dumps(_wrap(snapshot), indent=2, sort_keys=True))
 
 
 def load_snapshot(path: Union[str, pathlib.Path]) -> Dict[str, Any]:

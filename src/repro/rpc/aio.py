@@ -45,7 +45,7 @@ from repro.rpc.engine import SEND, WAIT, drive_async
 from repro.rpc.errors import RpcError
 from repro.rpc.message import RpcCall, RpcReply
 from repro.rpc.server import AdmissionPolicy, RpcServer
-from repro.rpc.transport import SimTransport, Transport, enable_nodelay
+from repro.rpc.transport import SimTransport, Transport, enable_nodelay, frame_too_large
 from repro.telemetry.hub import spans_wanted
 from repro.telemetry.metrics import METRICS
 
@@ -235,6 +235,9 @@ class AsyncTcpTransport(Transport):
     async def _read_frame(self, reader: asyncio.StreamReader) -> bytes:
         header = await reader.readexactly(self._HEADER.size)
         (length,) = self._HEADER.unpack(header)
+        if frame_too_large(length):
+            # An OSError: both read paths close the connection on it.
+            raise ConnectionError(f"frame of {length} bytes exceeds MAX_FRAME")
         return await reader.readexactly(length)
 
 

@@ -1,13 +1,14 @@
-"""Compiled wire codecs: precomputed ``struct`` formats per signature.
+"""Compiled wire codecs: marshalling stubs generated from SIDL layouts.
 
 The tagged codec (:func:`repro.rpc.xdr.encode_value`) pays for dynamic
 marshalling on every call: each leaf carries a tag word, each dict entry
-carries its key string, and decoding walks the structure one tagged
-primitive at a time.  When the SID pins a signature down statically,
-none of that is needed — this module compiles a layout spec
-(:mod:`repro.sidl.layout`) into a :class:`CompiledCodec` whose
-fixed-layout runs collapse into a single ``Struct.pack`` /
-``unpack_from`` and whose string/opaque tails are handled generically.
+carries its key string, and decoding dispatches on every tag.  When the
+SID pins a signature down statically, none of that is needed — as the
+paper's Generic Client does at bind time (§4), this module generates a
+stub per layout spec (:mod:`repro.sidl.layout`): straight-line Python
+source for one encoder and one decoder, nested records inlined, every
+fixed-width run of fields packed by a single ``Struct``, compiled once
+when the layout is registered (:class:`CompiledCodec`).
 
 Negotiation is per ``(prog, vers, proc)`` through the process-global
 :data:`CODECS` registry: both peers derive the same layout from the
@@ -38,18 +39,24 @@ report surfaces them in the wire-path table.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import struct
 import threading
 import zlib
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.rpc.errors import XdrError, XdrTruncated
 from repro.rpc.xdr import (
+    _NULL,
+    _PADDING,
+    _TAG_F64,
+    _TAG_FLOAT,
+    _get,
+    _put,
     decode_value,
-    decode_value_at,
     encode_value,
-    encode_value_into,
 )
 from repro.telemetry.metrics import METRICS
 
@@ -83,346 +90,348 @@ def fingerprint_of(spec: tuple) -> int:
     return zlib.crc32(repr(spec).encode("utf-8")) & 0xFFFFFFFF
 
 
-# A compiled spec is a pair of closures:
-#   enc(value, out)            append wire chunks for ``value`` to ``out``
-#   dec(view, offset) -> (value, offset)
-_Encoder = Callable[[Any, List[bytes]], None]
-_Decoder = Callable[[memoryview, int], Tuple[Any, int]]
+# -- the generator -----------------------------------------------------------
+#
+# A layout compiles to Python source: one ``encode(value)`` and one
+# ``decode(data)`` function per layout, nested records inlined, every
+# fixed-width run of fields packed by one precompiled ``Struct``, string
+# and opaque tails handled in place, and ``any`` leaves written and read
+# by the tagged kernel (a double or null in place).  SID-supplied
+# strings (field names) enter the source only through ``repr()``; enum
+# label tables, structs and anything else are namespace constants, so no
+# layout can inject code.
 
-# Packable leaves: (struct format char, to-wire converter, from-wire
-# converter).  Converters raise CodecFallback on values that belong to
-# the dynamic path so the whole encode can restart as tagged.
-
-
-def _conv_i64(value: Any) -> int:
-    if type(value) is not int:
-        raise CodecFallback("not an int")
-    return value
+_FIXED = {"i64": "q", "f64": "d", "bool": "I", "enum": "I"}
 
 
-def _conv_f64(value: Any) -> float:
-    if type(value) is not float:
-        raise CodecFallback("not a float")
-    return value
+class _Source:
+    """Lines of one generated function plus the constants it reads.
+
+    The encoder's and the decoder's sources share one namespace and one
+    serial, so no two constants or locals ever get the same name.
+    """
+
+    def __init__(self, namespace: Dict[str, Any], serial: Iterator[int]) -> None:
+        self.namespace = namespace
+        self.lines: List[str] = []
+        self._serial = serial
+
+    def var(self, stem: str) -> str:
+        return f"{stem}{next(self._serial)}"
+
+    def const(self, value: Any, stem: str) -> str:
+        name = self.var("_" + stem)
+        self.namespace[name] = value
+        return name
+
+    def key(self, name: Any) -> str:
+        """A record field name as a source expression."""
+        return repr(name) if type(name) is str else self.const(name, "key")
+
+    def emit(self, depth: int, line: str) -> None:
+        self.lines.append("    " * depth + line)
+
+    def text(self, header: str) -> str:
+        return "\n".join([header] + self.lines) + "\n"
 
 
-def _conv_bool(value: Any) -> int:
-    if value is True:
-        return 1
-    if value is False:
-        return 0
-    raise CodecFallback("not a bool")
-
-
-def _unconv_bool(raw: int) -> bool:
-    if raw not in (0, 1):
-        raise XdrError(f"bool must be 0 or 1, got {raw}")
-    return bool(raw)
-
-
-def _pad(length: int) -> bytes:
-    return b"\x00" * ((-length) % 4)
-
-
-def _compile(spec: tuple) -> Tuple[_Encoder, _Decoder]:
-    kind = spec[0]
-    if kind == "struct":
-        return _compile_struct(spec)
-    if kind in ("i64", "f64", "bool", "enum"):
-        return _compile_leaf(spec)
-    if kind == "string":
-        return _compile_string()
-    if kind == "bytes":
-        return _compile_bytes()
-    if kind == "optional":
-        return _compile_optional(spec[1])
-    if kind == "seq":
-        return _compile_seq(spec[1])
-    if kind == "void":
-        return _compile_void()
-    if kind == "any":
-        return _compile_any()
-    raise ConfigurationError(f"unknown layout spec kind {kind!r}")
-
-
-def _packable(spec: tuple):
-    """``(fmt_char, to_wire, from_wire)`` for a fixed-width leaf, or None."""
-    kind = spec[0]
-    if kind == "i64":
-        return ("q", _conv_i64, None)
-    if kind == "f64":
-        return ("d", _conv_f64, None)
-    if kind == "bool":
-        return ("I", _conv_bool, _unconv_bool)
-    if kind == "enum":
-        labels = spec[1]
-        index = {label: position for position, label in enumerate(labels)}
-
-        def to_wire(value: Any, _index=index) -> int:
-            try:
-                return _index[value]
-            except (KeyError, TypeError):
-                raise CodecFallback("not an enum label")
-
-        def from_wire(raw: int, _labels=labels) -> str:
-            if raw >= len(_labels):
-                raise XdrError(f"enum index {raw} out of range")
-            return _labels[raw]
-
-        return ("I", to_wire, from_wire)
-    return None
-
-
-def _compile_leaf(spec: tuple) -> Tuple[_Encoder, _Decoder]:
-    """A lone fixed-width leaf (inside optional/seq, or at the root)."""
-    fmt, to_wire, from_wire = _packable(spec)
-    packer = struct.Struct(">" + fmt)
-
-    def enc(value: Any, out: List[bytes]) -> None:
-        try:
-            out.append(packer.pack(to_wire(value)))
-        except struct.error:
-            raise CodecFallback("value out of range for the compiled layout")
-
-    def dec(view: memoryview, offset: int) -> Tuple[Any, int]:
-        try:
-            (raw,) = packer.unpack_from(view, offset)
-        except struct.error:
-            raise XdrTruncated(f"truncated compiled value at offset {offset}")
-        value = raw if from_wire is None else from_wire(raw)
-        return value, offset + packer.size
-
-    return enc, dec
-
-
-def _compile_struct(spec: tuple) -> Tuple[_Encoder, _Decoder]:
-    """Compile a record: consecutive fixed-width fields share one Struct."""
-    fields = spec[1]
-    field_count = len(fields)
-    # steps: ("run", Struct, [(name, to_wire)], [(name, from_wire)])
-    #      | ("field", name, enc, dec)
-    steps: List[tuple] = []
-    run: List[Tuple[str, tuple]] = []
-
-    def close_run() -> None:
-        if not run:
-            return
-        fmt = ">" + "".join(packable[0] for __, packable in run)
-        packer = struct.Struct(fmt)
-        encoders = [(name, packable[1]) for name, packable in run]
-        decoders = [(name, packable[2]) for name, packable in run]
-        steps.append(("run", packer, encoders, decoders))
-        run.clear()
-
+def _runs(fields) -> List[Tuple[str, Any]]:
+    """Group a record's fields into fixed-width runs and single fields."""
+    steps: List[Tuple[str, Any]] = []
     for name, sub in fields:
-        packable = _packable(sub)
-        if packable is not None:
-            run.append((name, packable))
+        if sub[0] in _FIXED:
+            if steps and steps[-1][0] == "run":
+                steps[-1][1].append((name, sub))
+                continue
+            steps.append(("run", [(name, sub)]))
         else:
-            close_run()
-            sub_enc, sub_dec = _compile(sub)
-            steps.append(("field", name, sub_enc, sub_dec))
-    close_run()
-    frozen = tuple(steps)
+            steps.append(("field", (name, sub)))
+    return steps
 
-    def enc(value: Any, out: List[bytes]) -> None:
-        if type(value) is not dict or len(value) != field_count:
-            # Extended values (extra keys from a subtype) and anything
-            # that is not a plain record belong to dynamic marshalling.
-            raise CodecFallback("value does not match the record layout")
-        try:
-            for step in frozen:
-                if step[0] == "run":
-                    __, packer, encoders, __ = step
-                    out.append(
-                        packer.pack(
-                            *[to_wire(value[name]) for name, to_wire in encoders]
-                        )
-                    )
-                else:
-                    __, name, sub_enc, __ = step
-                    sub_enc(value[name], out)
-        except KeyError:
-            raise CodecFallback("missing record field")
-        except struct.error:
-            raise CodecFallback("value out of range for the compiled layout")
 
-    def dec(view: memoryview, offset: int) -> Tuple[Any, int]:
-        result: Dict[str, Any] = {}
-        for step in frozen:
-            if step[0] == "run":
-                __, packer, __, decoders = step
-                try:
-                    raws = packer.unpack_from(view, offset)
-                except struct.error:
-                    raise XdrTruncated(
-                        f"truncated compiled record at offset {offset}"
-                    )
-                offset += packer.size
-                for (name, from_wire), raw in zip(decoders, raws):
-                    result[name] = raw if from_wire is None else from_wire(raw)
+# -- encoder source -----------------------------------------------------------
+
+
+def _enc(src: _Source, spec: tuple, value: str, depth: int) -> None:
+    """Emit statements appending the wire form of local ``value``."""
+    kind = spec[0]
+    emit = src.emit
+    if kind in _FIXED:
+        wire = _enc_fixed(src, spec, value, depth)
+        packer = src.const(struct.Struct(">" + _FIXED[kind]), "S")
+        emit(depth, f"out.append({packer}.pack({wire}))")
+    elif kind == "struct":
+        fields = spec[1]
+        emit(depth, f"if type({value}) is not dict or len({value}) != {len(fields)}:")
+        emit(depth + 1, 'raise CodecFallback("value does not match the record layout")')
+        for step, item in _runs(fields):
+            if step == "run":
+                wires = []
+                for name, sub in item:
+                    field = src.var("f")
+                    emit(depth, f"{field} = {value}[{src.key(name)}]")
+                    wires.append(_enc_fixed(src, sub, field, depth))
+                fmt = ">" + "".join(_FIXED[sub[0]] for __, sub in item)
+                packer = src.const(struct.Struct(fmt), "S")
+                emit(depth, f"out.append({packer}.pack({', '.join(wires)}))")
             else:
-                __, name, __, sub_dec = step
-                result[name], offset = sub_dec(view, offset)
-        return result, offset
-
-    return enc, dec
-
-
-def _compile_string() -> Tuple[_Encoder, _Decoder]:
-    def enc(value: Any, out: List[bytes]) -> None:
-        if type(value) is not str:
-            raise CodecFallback("not a string")
-        data = value.encode("utf-8")
-        out.append(_U32.pack(len(data)))
-        out.append(data)
-        out.append(_pad(len(data)))
-
-    def dec(view: memoryview, offset: int) -> Tuple[Any, int]:
-        length, offset = _dec_length(view, offset)
-        end = offset + length
-        try:
-            text = str(view[offset:end], "utf-8")
-        except UnicodeDecodeError as exc:
-            raise XdrError(f"invalid UTF-8 at offset {offset}: {exc}")
-        return text, end + ((-length) % 4)
-
-    return enc, dec
-
-
-def _compile_bytes() -> Tuple[_Encoder, _Decoder]:
-    def enc(value: Any, out: List[bytes]) -> None:
-        if not isinstance(value, (bytes, bytearray)):
-            raise CodecFallback("not bytes")
-        data = bytes(value)
-        out.append(_U32.pack(len(data)))
-        out.append(data)
-        out.append(_pad(len(data)))
-
-    def dec(view: memoryview, offset: int) -> Tuple[Any, int]:
-        length, offset = _dec_length(view, offset)
-        end = offset + length
-        return bytes(view[offset:end]), end + ((-length) % 4)
-
-    return enc, dec
-
-
-def _dec_length(view: memoryview, offset: int) -> Tuple[int, int]:
-    """Read a u32 length and bounds-check it against the buffer."""
-    if offset + 4 > len(view):
-        raise XdrTruncated(f"truncated length prefix at offset {offset}")
-    (length,) = _U32.unpack_from(view, offset)
-    offset += 4
-    padded = length + ((-length) % 4)
-    if offset + padded > len(view):
-        raise XdrTruncated(
-            f"truncated payload at offset {offset}: wanted {padded} bytes, "
-            f"have {len(view) - offset}"
-        )
-    return length, offset
+                name, sub = item
+                field = src.var("f")
+                emit(depth, f"{field} = {value}[{src.key(name)}]")
+                _enc(src, sub, field, depth)
+    elif kind in ("string", "bytes"):
+        data = src.var("d")
+        if kind == "string":
+            emit(depth, f"if type({value}) is not str:")
+            emit(depth + 1, 'raise CodecFallback("not a string")')
+            emit(depth, f'{data} = {value}.encode("utf-8")')
+        else:
+            emit(depth, f"if not isinstance({value}, (bytes, bytearray)):")
+            emit(depth + 1, 'raise CodecFallback("not bytes")')
+            emit(depth, f"{data} = bytes({value})")
+        emit(depth, f"out += (_U32.pack(len({data})), {data}, _PADDING[len({data}) & 3])")
+    elif kind == "optional":
+        emit(depth, f"if {value} is None:")
+        emit(depth + 1, "out.append(_ABSENT)")
+        emit(depth, "else:")
+        emit(depth + 1, "out.append(_PRESENT)")
+        _enc(src, spec[1], value, depth + 1)
+    elif kind == "seq":
+        item = src.var("e")
+        emit(depth, f"if not isinstance({value}, (list, tuple)):")
+        emit(depth + 1, 'raise CodecFallback("not a sequence")')
+        emit(depth, f"out.append(_U32.pack(len({value})))")
+        emit(depth, f"for {item} in {value}:")
+        _enc(src, spec[1], item, depth + 1)
+    elif kind == "any":
+        # Doubles and nulls (the trader's lease fields) are written in
+        # place, with the kernel's bytes; everything else goes to it.
+        emit(depth, f"if type({value}) is float:")
+        emit(depth + 1, f"out.append(_TAGGED_F64.pack(_TAG_FLOAT, {value}))")
+        emit(depth, f"elif {value} is None:")
+        emit(depth + 1, "out.append(_TAGGED_NULL)")
+        emit(depth, "else:")
+        emit(depth + 1, "try:")
+        emit(depth + 2, f"_put_tagged(({value},), out, False)")
+        emit(depth + 1, "except XdrError:")
+        emit(depth + 2, 'raise CodecFallback("value cannot be marshalled")')
+    elif kind == "void":
+        emit(depth, f"if {value} is not None:")
+        emit(depth + 1, 'raise CodecFallback("void must be None")')
+    else:
+        raise ConfigurationError(f"unknown layout spec kind {kind!r}")
 
 
-def _compile_optional(element: tuple) -> Tuple[_Encoder, _Decoder]:
-    sub_enc, sub_dec = _compile(element)
+def _enc_fixed(src: _Source, spec: tuple, value: str, depth: int) -> str:
+    """Emit the checks of a fixed-width leaf; return its packable expression."""
+    kind = spec[0]
+    emit = src.emit
+    if kind == "i64":
+        emit(depth, f"if type({value}) is not int:")
+        emit(depth + 1, 'raise CodecFallback("not an int")')
+        return value
+    if kind == "f64":
+        emit(depth, f"if type({value}) is not float:")
+        emit(depth + 1, 'raise CodecFallback("not a float")')
+        return value
+    wire = src.var("w")
+    if kind == "bool":
+        emit(depth, f"if {value} is True:")
+        emit(depth + 1, f"{wire} = 1")
+        emit(depth, f"elif {value} is False:")
+        emit(depth + 1, f"{wire} = 0")
+        emit(depth, "else:")
+        emit(depth + 1, 'raise CodecFallback("not a bool")')
+        return wire
+    index = src.const({label: position for position, label in enumerate(spec[1])}, "E")
+    emit(depth, "try:")
+    emit(depth + 1, f"{wire} = {index}[{value}]")
+    emit(depth, "except (KeyError, TypeError):")
+    emit(depth + 1, 'raise CodecFallback("not an enum label")')
+    return wire
 
-    def enc(value: Any, out: List[bytes]) -> None:
-        if value is None:
-            out.append(_U32.pack(0))
-            return
-        out.append(_U32.pack(1))
-        sub_enc(value, out)
 
-    def dec(view: memoryview, offset: int) -> Tuple[Any, int]:
-        if offset + 4 > len(view):
-            raise XdrTruncated(f"truncated optional flag at offset {offset}")
-        (flag,) = _U32.unpack_from(view, offset)
-        offset += 4
-        if flag == 0:
-            return None, offset
-        if flag != 1:
-            raise XdrError(f"optional flag must be 0 or 1, got {flag}")
-        return sub_dec(view, offset)
-
-    return enc, dec
+# -- decoder source -----------------------------------------------------------
 
 
-def _compile_seq(element: tuple) -> Tuple[_Encoder, _Decoder]:
-    sub_enc, sub_dec = _compile(element)
-
-    def enc(value: Any, out: List[bytes]) -> None:
-        if not isinstance(value, (list, tuple)):
-            raise CodecFallback("not a sequence")
-        out.append(_U32.pack(len(value)))
-        for item in value:
-            sub_enc(item, out)
-
-    def dec(view: memoryview, offset: int) -> Tuple[Any, int]:
-        if offset + 4 > len(view):
-            raise XdrTruncated(f"truncated sequence count at offset {offset}")
-        (count,) = _U32.unpack_from(view, offset)
-        offset += 4
+def _dec(src: _Source, spec: tuple, target: str, depth: int) -> None:
+    """Emit statements decoding one value at ``offset`` into ``target``."""
+    kind = spec[0]
+    emit = src.emit
+    if kind in _FIXED:
+        packer = struct.Struct(">" + _FIXED[kind])
+        emit(depth, f"if offset + {packer.size} > limit:")
+        emit(depth + 1, 'raise _truncated("compiled value", offset)')
+        emit(depth, f"({target},) = {src.const(packer, 'S')}.unpack_from(data, offset)")
+        emit(depth, f"offset += {packer.size}")
+        _dec_fixed(src, spec, target, depth)
+    elif kind == "struct":
+        values = []
+        for step, item in _runs(spec[1]):
+            if step == "run":
+                fields = [(name, sub, src.var("v")) for name, sub in item]
+                packer = struct.Struct(">" + "".join(_FIXED[sub[0]] for __, sub, __ in fields))
+                emit(depth, f"if offset + {packer.size} > limit:")
+                emit(depth + 1, 'raise _truncated("compiled record", offset)')
+                names = "".join(f"{local}, " for __, __, local in fields)
+                emit(depth, f"{names}= {src.const(packer, 'S')}.unpack_from(data, offset)")
+                emit(depth, f"offset += {packer.size}")
+                for name, sub, local in fields:
+                    _dec_fixed(src, sub, local, depth)
+                    values.append((name, local))
+            else:
+                name, sub = item
+                local = src.var("v")
+                _dec(src, sub, local, depth)
+                values.append((name, local))
+        pairs = ", ".join(f"{src.key(name)}: {local}" for name, local in values)
+        emit(depth, f"{target} = {{{pairs}}}")
+    elif kind in ("string", "bytes"):
+        size, stop = src.var("n"), src.var("end")
+        emit(depth, "if offset + 4 > limit:")
+        emit(depth + 1, 'raise _truncated("length prefix", offset)')
+        emit(depth, f"({size},) = _U32.unpack_from(data, offset)")
+        emit(depth, "offset += 4")
+        emit(depth, f"{stop} = offset + {size}")
+        emit(depth, f"if {stop} + (-{size} & 3) > limit:")
+        emit(depth + 1, f"raise _truncated_payload(offset, {size}, limit)")
+        if kind == "string":
+            # A bad byte raises UnicodeDecodeError to decode()'s one
+            # handler while ``offset`` still marks this string.
+            emit(depth, f'{target} = data[offset:{stop}].decode("utf-8")')
+        else:
+            emit(depth, f"{target} = data[offset:{stop}]")
+        emit(depth, f"offset = {stop} + (-{size} & 3)")
+    elif kind == "optional":
+        flag = src.var("flag")
+        emit(depth, "if offset + 4 > limit:")
+        emit(depth + 1, 'raise _truncated("optional flag", offset)')
+        emit(depth, f"({flag},) = _U32.unpack_from(data, offset)")
+        emit(depth, "offset += 4")
+        emit(depth, f"if {flag} == 0:")
+        emit(depth + 1, f"{target} = None")
+        emit(depth, f"elif {flag} == 1:")
+        _dec(src, spec[1], target, depth + 1)
+        emit(depth, "else:")
+        emit(depth + 1, f'raise XdrError(f"optional flag must be 0 or 1, got {{{flag}}}")')
+    elif kind == "seq":
+        count, item = src.var("count"), src.var("x")
+        emit(depth, "if offset + 4 > limit:")
+        emit(depth + 1, 'raise _truncated("sequence count", offset)')
+        emit(depth, f"({count},) = _U32.unpack_from(data, offset)")
+        emit(depth, "offset += 4")
         # Bounded by the bytes that remain after the count, not by the
         # whole body: a forged count fails before any element is read.
-        if count > len(view) - offset:
-            raise XdrError(
-                f"implausible sequence count {count} at offset {offset}"
-            )
-        items = []
-        for __ in range(count):
-            item, offset = sub_dec(view, offset)
-            items.append(item)
-        return items, offset
-
-    return enc, dec
-
-
-def _compile_any() -> Tuple[_Encoder, _Decoder]:
-    """A tagged sub-value inside a positional body (``layout.any()``)."""
-
-    def enc(value: Any, out: List[bytes]) -> None:
-        try:
-            encode_value_into(value, out)
-        except XdrError:
-            raise CodecFallback("value cannot be marshalled")
-
-    return enc, decode_value_at
+        emit(depth, f"if {count} > limit - offset:")
+        emit(
+            depth + 1,
+            f'raise XdrError(f"implausible sequence count {{{count}}} at offset {{offset}}")',
+        )
+        emit(depth, f"{target} = []")
+        emit(depth, f"for __ in range({count}):")
+        _dec(src, spec[1], item, depth + 1)
+        emit(depth + 1, f"{target}.append({item})")
+    elif kind == "any":
+        tag = src.var("tag")
+        emit(depth, "if offset + 12 <= limit:")
+        emit(depth + 1, f"{tag}, {target} = _TAGGED_F64.unpack_from(data, offset)")
+        emit(depth, "else:")
+        emit(depth + 1, f"{tag} = -1")
+        emit(depth, f"if {tag} == _TAG_FLOAT:")
+        emit(depth + 1, "offset += 12")
+        emit(depth, "else:")
+        emit(depth + 1, f"({target},), offset = _get_tagged(data, offset, 1, False, 0)")
+    else:  # void
+        emit(depth, f"{target} = None")
 
 
-def _compile_void() -> Tuple[_Encoder, _Decoder]:
-    def enc(value: Any, out: List[bytes]) -> None:
-        if value is not None:
-            raise CodecFallback("void must be None")
+def _dec_fixed(src: _Source, spec: tuple, local: str, depth: int) -> None:
+    """Emit the conversion of an unpacked fixed-width leaf in place."""
+    kind = spec[0]
+    emit = src.emit
+    if kind == "bool":
+        emit(depth, f"if {local} > 1:")
+        emit(depth + 1, f'raise XdrError(f"bool must be 0 or 1, got {{{local}}}")')
+        emit(depth, f"{local} = {local} == 1")
+    elif kind == "enum":
+        labels = tuple(spec[1])
+        emit(depth, f"if {local} >= {len(labels)}:")
+        emit(depth + 1, f'raise XdrError(f"enum index {{{local}}} out of range")')
+        emit(depth, f"{local} = {src.const(labels, 'L')}[{local}]")
 
-    def dec(view: memoryview, offset: int) -> Tuple[Any, int]:
-        return None, offset
 
-    return enc, dec
+def _truncated(what: str, offset: int) -> XdrTruncated:
+    return XdrTruncated(f"truncated {what} at offset {offset}")
+
+
+def _truncated_payload(offset: int, size: int, limit: int) -> XdrTruncated:
+    padded = size + (-size & 3)
+    return XdrTruncated(
+        f"truncated payload at offset {offset}: wanted {padded} bytes, "
+        f"have {limit - offset}"
+    )
+
+
+@functools.lru_cache(maxsize=256)
+def _generate(spec: tuple) -> Tuple[str, Callable[[Any], bytes], Callable[[Any], Any]]:
+    """``(source, encode, decode)`` for one layout spec.
+
+    ``encode(value)`` returns the whole compiled body, header included,
+    or raises :class:`CodecFallback`; ``decode(data)`` checks the body
+    from the header on to its last byte.  Pure in ``spec``, so equal
+    layouts (a SID's many ``boolean`` results) share one generation.
+    """
+    namespace: Dict[str, Any] = {
+        "CodecFallback": CodecFallback,
+        "XdrError": XdrError,
+        "_U32": _U32,
+        "_PADDING": _PADDING,
+        "_ABSENT": _U32.pack(0),
+        "_PRESENT": _U32.pack(1),
+        "_put_tagged": _put,
+        "_get_tagged": _get,
+        "_TAGGED_F64": _TAG_F64,
+        "_TAGGED_NULL": _NULL,
+        "_TAG_FLOAT": _TAG_FLOAT,
+        "_truncated": _truncated,
+        "_truncated_payload": _truncated_payload,
+        "struct_error": struct.error,
+        "_HEADER_BYTES": _HEADER.pack(MAGIC, fingerprint_of(spec)),
+    }
+    serial = itertools.count(1)
+    encoder = _Source(namespace, serial)
+    encoder.emit(1, "out = [_HEADER_BYTES]")
+    encoder.emit(1, "try:")
+    _enc(encoder, spec, "value", 2)
+    encoder.emit(1, "except KeyError:")
+    encoder.emit(2, 'raise CodecFallback("missing record field")')
+    encoder.emit(1, "except struct_error:")
+    encoder.emit(2, 'raise CodecFallback("value out of range for the compiled layout")')
+    encoder.emit(1, 'return b"".join(out)')
+    decoder = _Source(namespace, serial)
+    decoder.emit(1, "if type(data) is not bytes:")
+    decoder.emit(2, "data = bytes(data)")
+    decoder.emit(1, "limit = len(data)")
+    decoder.emit(1, f"offset = {_HEADER.size}")
+    decoder.emit(1, "try:")
+    _dec(decoder, spec, "value", 2)
+    decoder.emit(1, "except UnicodeDecodeError as exc:")
+    decoder.emit(2, 'raise XdrError(f"invalid UTF-8 at offset {offset}: {exc}")')
+    decoder.emit(1, "if offset != limit:")
+    decoder.emit(2, 'raise XdrError(f"{limit - offset} trailing bytes after compiled value")')
+    decoder.emit(1, "return value")
+    source = encoder.text("def encode(value):") + "\n" + decoder.text("def decode(data):")
+    exec(compile(source, f"<layout {namespace['_HEADER_BYTES'][4:].hex()}>", "exec"), namespace)
+    return source, namespace["encode"], namespace["decode"]
 
 
 class CompiledCodec:
-    """One layout spec compiled to pack/unpack closures plus its header."""
+    """One layout spec compiled to generated encode/decode functions."""
 
     def __init__(self, spec: tuple) -> None:
-        self._enc, self._dec = _compile(spec)
+        self.source, self.encode, self.decode = _generate(spec)
         self.spec = spec
         self.fingerprint = fingerprint_of(spec)
-        self._header = _HEADER.pack(MAGIC, self.fingerprint)
-
-    def encode(self, value: Any) -> bytes:
-        """Compiled wire bytes, or :class:`CodecFallback` if unfit."""
-        out: List[bytes] = [self._header]
-        self._enc(value, out)
-        return b"".join(out)
-
-    def decode(self, data) -> Any:
-        """Decode a compiled body (header verified by the registry)."""
-        view = memoryview(data)
-        value, offset = self._dec(view, _HEADER.size)
-        if offset != len(view):
-            raise XdrError(
-                f"{len(view) - offset} trailing bytes after compiled value"
-            )
-        return value
 
 
 def is_compiled(body) -> bool:

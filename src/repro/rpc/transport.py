@@ -21,8 +21,22 @@ from typing import Callable, Dict, Optional
 from repro.errors import CommunicationError
 from repro.net.endpoints import Address, Datagram
 from repro.net.sim import SimNetwork
+from repro.telemetry.metrics import METRICS
 
 Receiver = Callable[[Address, bytes], None]
+
+#: Largest frame either TCP transport accepts (16 MiB).  A length header
+#: above it closes the connection before a byte of the frame is buffered,
+#: and counts in ``rpc.transport.frames_rejected``.
+MAX_FRAME = 16 * 1024 * 1024
+
+
+def frame_too_large(length: int) -> bool:
+    """Check a frame-length header; count a rejected one."""
+    if length <= MAX_FRAME:
+        return False
+    METRICS.inc("rpc.transport.frames_rejected")
+    return True
 
 
 def enable_nodelay(sock: Optional[socket.socket]) -> None:
@@ -174,6 +188,13 @@ class TcpTransport(Transport):
     def close(self) -> None:
         self._closed = True
         try:
+            # Shut down first: a bare close leaves the kernel socket
+            # listening while the accept thread is blocked in accept(),
+            # so a closed transport would still take connections.
+            self._listener.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
+        try:
             self._listener.close()
         except OSError:
             pass
@@ -197,18 +218,24 @@ class TcpTransport(Transport):
                 conn, peer = self._listener.accept()
             except OSError:
                 return
+            if self._closed:
+                conn.close()
+                return
             enable_nodelay(conn)
             threading.Thread(
                 target=self._serve_connection, args=(conn, peer), daemon=True
             ).start()
 
     def _serve_connection(self, conn: socket.socket, peer) -> None:
-        # First frame is the peer's listener port (its stable address).
-        first = self._read_frame(conn)
-        if first is None:
-            return
-        source = Address(peer[0], int(first.decode("ascii")))
-        self._read_loop(conn, source, skip_hello=True)
+        try:
+            # First frame is the peer's listener port (its stable address).
+            first = self._read_frame(conn)
+            if first is None:
+                return
+            source = Address(peer[0], int(first.decode("ascii")))
+            self._read_loop(conn, source, skip_hello=True)
+        finally:
+            conn.close()
 
     def _read_outgoing(self, conn: socket.socket, destination: Address) -> None:
         self._read_loop(conn, destination)
@@ -238,6 +265,8 @@ class TcpTransport(Transport):
         if header is None:
             return None
         (length,) = self._HEADER.unpack(header)
+        if frame_too_large(length):
+            return None  # the caller closes the connection
         return self._read_exact(conn, length)
 
     @staticmethod

@@ -11,20 +11,23 @@ Two layers:
   just downloaded a SID can marshal parameters for a service it has never
   seen, because values carry their own structure on the wire.
 
-The decoder runs on a :class:`memoryview` of the input: primitives are
-read with precompiled ``struct`` ``unpack_from`` at an offset, and only
-the leaves (opaque/string payloads) ever copy bytes — nested values no
-longer re-slice the buffer at every level.  Truncated input raises
-:class:`~repro.rpc.errors.XdrTruncated` with offset context instead of
-surfacing short reads, and :func:`decode_value` bounds nesting depth so
-adversarial payloads fail with a clean :class:`XdrError` rather than
-exhausting the interpreter's recursion limit.
+The tagged codec is one kernel per direction (:func:`_put`, :func:`_get`)
+with a flat dispatch — on the exact type when encoding, on the tag word
+when decoding.  Scalars are packed and read in place with precompiled
+``struct`` formats (a tag and its payload in one ``pack``), and only
+containers recurse, once per nesting level; no primitive costs a method
+call.  Truncated input raises :class:`~repro.rpc.errors.XdrTruncated`
+with offset context instead of surfacing short reads, and
+:func:`decode_value` bounds nesting depth so adversarial payloads fail
+with a clean :class:`XdrError` rather than exhausting the interpreter's
+recursion limit.  The compiled codec (:mod:`repro.rpc.codec`) calls the
+same kernels for its ``any`` leaves.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.net.endpoints import Address
 from repro.rpc.errors import XdrError, XdrTruncated
@@ -203,6 +206,17 @@ _TAG_LIST = 6
 _TAG_DICT = 7
 _TAG_ADDRESS = 8
 
+# The tagged kernel packs a tag together with its fixed-width payload in
+# one ``pack`` (the bytes are the same as two separate words would be).
+_TAG_WORD = struct.Struct(">II")  # tag + u32 (bool, length or count)
+_TAG_I64 = struct.Struct(">Iq")
+_TAG_F64 = struct.Struct(">Id")
+_NULL = _U32.pack(_TAG_NULL)
+_TRUE = _TAG_WORD.pack(_TAG_BOOL, 1)
+_FALSE = _TAG_WORD.pack(_TAG_BOOL, 0)
+#: Zero padding after an opaque of length ``n``, indexed by ``n & 3``.
+_PADDING = (b"", b"\x00\x00\x00", b"\x00\x00", b"\x00")
+
 
 def encode_value(value: Any) -> bytes:
     """Encode a Python value into self-describing XDR bytes.
@@ -212,9 +226,9 @@ def encode_value(value: Any) -> bytes:
     string-keyed dicts of the above.  Dict key order is preserved, so two
     structurally equal values encode identically.
     """
-    encoder = XdrEncoder()
-    _encode_into(value, encoder)
-    return encoder.getvalue()
+    chunks: List[bytes] = []
+    _put((value,), chunks, False)
+    return b"".join(chunks)
 
 
 def encode_value_into(value: Any, chunks: List[bytes]) -> None:
@@ -223,47 +237,87 @@ def encode_value_into(value: Any, chunks: List[bytes]) -> None:
     The compiled codec's ``any`` leaf: a self-describing sub-value
     inside an otherwise positional body.
     """
-    _encode_into(value, XdrEncoder(chunks))
+    _put((value,), chunks, False)
 
 
-def _encode_into(value: Any, enc: XdrEncoder) -> None:
-    if value is None:
-        enc.pack_u32(_TAG_NULL)
-    elif value is True or value is False:
-        enc.pack_u32(_TAG_BOOL)
-        enc.pack_bool(value)
-    elif isinstance(value, Address):
-        # Must precede the tuple check: Address is a NamedTuple.
-        enc.pack_u32(_TAG_ADDRESS)
-        enc.pack_string(value.host)
-        enc.pack_u32(value.port)
-    elif isinstance(value, int):
-        enc.pack_u32(_TAG_INT)
-        enc.pack_i64(value)
-    elif isinstance(value, float):
-        enc.pack_u32(_TAG_FLOAT)
-        enc.pack_double(value)
-    elif isinstance(value, str):
-        enc.pack_u32(_TAG_STRING)
-        enc.pack_string(value)
-    elif isinstance(value, (bytes, bytearray)):
-        enc.pack_u32(_TAG_BYTES)
-        enc.pack_opaque(bytes(value))
-    elif isinstance(value, (list, tuple)):
-        enc.pack_u32(_TAG_LIST)
-        enc.pack_u32(len(value))
-        for item in value:
-            _encode_into(item, enc)
-    elif isinstance(value, dict):
-        enc.pack_u32(_TAG_DICT)
-        enc.pack_u32(len(value))
-        for key, item in value.items():
-            if not isinstance(key, str):
-                raise XdrError(f"dict keys must be strings, got {key!r}")
-            enc.pack_string(key)
-            _encode_into(item, enc)
-    else:
-        raise XdrError(f"cannot marshal value of type {type(value).__name__}")
+def _put(values: Iterable[Any], out: List[bytes], keyed: bool) -> None:
+    """The tagged encoder: append every one of ``values`` to ``out``.
+
+    With ``keyed`` the values are a dict's ``(key, value)`` items and
+    each key goes out as a bare string before its value.  Dispatch is on
+    the exact type; a scalar packs its tag and payload in one ``pack``,
+    and only containers recurse.  Instances of subclasses of the
+    marshallable types are encoded as their base type (:func:`_as_base`).
+    """
+    for value in values:
+        if keyed:
+            key, value = value
+            if type(key) is not str:
+                if not isinstance(key, str):
+                    raise XdrError(f"dict keys must be strings, got {key!r}")
+                key = str.__str__(key)
+            data = key.encode("utf-8")
+            size = len(data)
+            out += (_U32.pack(size), data, _PADDING[size & 3])
+        kind = type(value)
+        if kind is str:
+            data = value.encode("utf-8")
+            size = len(data)
+            out += (_TAG_WORD.pack(_TAG_STRING, size), data, _PADDING[size & 3])
+        elif kind is float:
+            out.append(_TAG_F64.pack(_TAG_FLOAT, value))
+        elif kind is int:
+            try:
+                out.append(_TAG_I64.pack(_TAG_INT, value))
+            except struct.error:
+                raise XdrError(f"i64 out of range: {value!r}")
+        elif value is None:
+            out.append(_NULL)
+        elif kind is dict:
+            out.append(_TAG_WORD.pack(_TAG_DICT, len(value)))
+            _put(value.items(), out, True)
+        elif kind is list or kind is tuple:
+            out.append(_TAG_WORD.pack(_TAG_LIST, len(value)))
+            _put(value, out, False)
+        elif kind is bool:
+            out.append(_TRUE if value else _FALSE)
+        elif kind is Address:
+            data = value.host.encode("utf-8")
+            size = len(data)
+            port = value.port
+            if not 0 <= port <= _U32_MAX:
+                raise XdrError(f"u32 out of range: {port!r}")
+            out += (
+                _TAG_WORD.pack(_TAG_ADDRESS, size),
+                data,
+                _PADDING[size & 3],
+                _U32.pack(port),
+            )
+        elif kind is bytes or kind is bytearray:
+            size = len(value)
+            out += (_TAG_WORD.pack(_TAG_BYTES, size), bytes(value), _PADDING[size & 3])
+        else:
+            _put((_as_base(value),), out, False)
+
+
+def _as_base(value: Any) -> Any:
+    """A subclass instance as its marshallable base type, in the order
+    the tagged encoding has always tried them (Address before tuple)."""
+    if isinstance(value, Address):
+        return Address(value.host, value.port)
+    if isinstance(value, int):
+        return int(value)
+    if isinstance(value, float):
+        return float(value)
+    if isinstance(value, str):
+        return str.__str__(value)
+    if isinstance(value, (bytes, bytearray)):
+        return bytes(value)
+    if isinstance(value, (list, tuple)):
+        return list(value)
+    if isinstance(value, dict):
+        return dict(value.items())
+    raise XdrError(f"cannot marshal value of type {type(value).__name__}")
 
 
 def decode_value(data: bytes) -> Any:
@@ -272,10 +326,11 @@ def decode_value(data: bytes) -> Any:
     Raises :class:`~repro.rpc.errors.XdrError` on malformed or trailing
     data, and on values nested deeper than :data:`MAX_VALUE_DEPTH`.
     """
-    decoder = XdrDecoder(data)
-    value = _decode_from(decoder, 0)
-    if not decoder.done():
-        raise XdrError(f"{decoder.remaining()} trailing bytes after value")
+    if type(data) is not bytes:
+        data = bytes(data)
+    (value,), offset = _get(data, 0, 1, False, 0)
+    if offset != len(data):
+        raise XdrError(f"{len(data) - offset} trailing bytes after value")
     return value
 
 
@@ -286,49 +341,125 @@ def decode_value_at(data, offset: int) -> Tuple[Any, int]:
     and truncation checks — without requiring the value to end the
     buffer.
     """
-    decoder = XdrDecoder(data, offset)
-    return _decode_from(decoder, 0), decoder.offset
+    if type(data) is not bytes:
+        data = bytes(data)
+    (value,), offset = _get(data, offset, 1, False, 0)
+    return value, offset
 
 
-def _decode_from(dec: XdrDecoder, depth: int) -> Any:
-    if depth > MAX_VALUE_DEPTH:
-        raise XdrError(
-            f"value nesting exceeds MAX_VALUE_DEPTH={MAX_VALUE_DEPTH} "
-            f"at offset {dec.offset}"
-        )
-    tag = dec.unpack_u32()
-    if tag == _TAG_NULL:
-        return None
-    if tag == _TAG_BOOL:
-        return dec.unpack_bool()
-    if tag == _TAG_INT:
-        return dec.unpack_i64()
-    if tag == _TAG_FLOAT:
-        return dec.unpack_double()
-    if tag == _TAG_STRING:
-        return dec.unpack_string()
-    if tag == _TAG_BYTES:
-        return dec.unpack_opaque()
-    if tag == _TAG_LIST:
-        length = dec.unpack_u32()
-        if length > dec.remaining():
-            raise XdrTruncated(
-                f"implausible list length {length} at offset {dec.offset}"
+def _short(data: bytes, offset: int, count: int) -> XdrTruncated:
+    return XdrTruncated(
+        f"truncated XDR data at offset {offset}: wanted {count} bytes, "
+        f"have {len(data) - offset}"
+    )
+
+
+def _opaque_at(data: bytes, offset: int) -> Tuple[int, int, int]:
+    """Bounds-check the opaque at ``offset``: ``(start, stop, next)``."""
+    start = offset + 4
+    if start > len(data):
+        raise _short(data, offset, 4)
+    (size,) = _U32.unpack_from(data, offset)
+    stop = start + size
+    if stop > len(data):
+        raise _short(data, start, size)
+    pad = size & 3
+    if pad and not data.startswith(_PADDING[pad], stop):
+        if stop + 4 - pad > len(data):
+            raise _short(data, stop, 4 - pad)
+        raise XdrError("non-zero XDR padding")
+    return start, stop, stop + (-size & 3)
+
+
+def _text_at(data: bytes, offset: int) -> Tuple[str, int]:
+    start, stop, following = _opaque_at(data, offset)
+    try:
+        return data[start:stop].decode("utf-8"), following
+    except UnicodeDecodeError as exc:
+        raise XdrError(f"invalid UTF-8 at offset {offset}: {exc}")
+
+
+def _get(data: bytes, offset: int, count: int, keyed: bool, depth: int):
+    """The tagged decoder: ``count`` values at ``offset`` of ``data``.
+
+    Returns ``(values, end)``: a list, or with ``keyed`` (a dict's
+    entries, each a bare string key before its value) a dict.  Dispatch
+    is on the tag word; scalars are read in place and only containers
+    recurse, one level deeper.  ``data`` must be ``bytes``.
+    """
+    result: Any = {} if keyed else []
+    for __ in range(count):
+        if keyed:
+            start = offset + 4
+            if start > len(data):
+                raise _short(data, offset, 4)
+            (size,) = _U32.unpack_from(data, offset)
+            stop = start + size
+            if stop > len(data) or size & 3 and not data.startswith(_PADDING[size & 3], stop):
+                _opaque_at(data, offset)  # raises the precise bounds error
+            try:
+                key = data[start:stop].decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise XdrError(f"invalid UTF-8 at offset {offset}: {exc}")
+            offset = stop + (-size & 3)
+        if depth > MAX_VALUE_DEPTH:
+            raise XdrError(
+                f"value nesting exceeds MAX_VALUE_DEPTH={MAX_VALUE_DEPTH} "
+                f"at offset {offset}"
             )
-        return [_decode_from(dec, depth + 1) for __ in range(length)]
-    if tag == _TAG_DICT:
-        length = dec.unpack_u32()
-        if length > dec.remaining():
-            raise XdrTruncated(
-                f"implausible dict length {length} at offset {dec.offset}"
-            )
-        result: Dict[str, Any] = {}
-        for __ in range(length):
-            key = dec.unpack_string()
-            result[key] = _decode_from(dec, depth + 1)
-        return result
-    if tag == _TAG_ADDRESS:
-        host = dec.unpack_string()
-        port = dec.unpack_u32()
-        return Address(host, port)
-    raise XdrError(f"unknown XDR value tag {tag}")
+        body = offset + 4
+        if body + 4 > len(data):
+            if body > len(data):
+                raise _short(data, offset, 4)
+            (tag,) = _U32.unpack_from(data, offset)
+            if tag > _TAG_ADDRESS:
+                raise XdrError(f"unknown XDR value tag {tag}")
+            if tag != _TAG_NULL:
+                raise _short(data, body, 8 if tag in (_TAG_INT, _TAG_FLOAT) else 4)
+        else:
+            tag, word = _TAG_WORD.unpack_from(data, offset)
+        if tag == _TAG_STRING:
+            start = body + 4
+            stop = start + word
+            if stop > len(data) or word & 3 and not data.startswith(_PADDING[word & 3], stop):
+                _opaque_at(data, body)  # raises the precise bounds error
+            try:
+                value = data[start:stop].decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise XdrError(f"invalid UTF-8 at offset {body}: {exc}")
+            offset = stop + (-word & 3)
+        elif tag == _TAG_FLOAT or tag == _TAG_INT:
+            offset = body + 8
+            if offset > len(data):
+                raise _short(data, body, 8)
+            (value,) = (_F64 if tag == _TAG_FLOAT else _I64).unpack_from(data, body)
+        elif tag == _TAG_DICT or tag == _TAG_LIST:
+            offset = body + 4
+            if word > len(data) - offset:
+                kind = "dict" if tag == _TAG_DICT else "list"
+                raise XdrTruncated(
+                    f"implausible {kind} length {word} at offset {offset}"
+                )
+            value, offset = _get(data, offset, word, tag == _TAG_DICT, depth + 1)
+        elif tag == _TAG_NULL:
+            value, offset = None, body
+        elif tag == _TAG_BOOL:
+            if word > 1:
+                raise XdrError(f"bool must be 0 or 1, got {word}")
+            value, offset = word == 1, body + 4
+        elif tag == _TAG_BYTES:
+            start, stop, offset = _opaque_at(data, body)
+            value = data[start:stop]
+        elif tag == _TAG_ADDRESS:
+            host, offset = _text_at(data, body)
+            if offset + 4 > len(data):
+                raise _short(data, offset, 4)
+            (port,) = _U32.unpack_from(data, offset)
+            value, offset = Address(host, port), offset + 4
+        else:
+            raise XdrError(f"unknown XDR value tag {tag}")
+        if keyed:
+            result[key] = value
+        else:
+            result.append(value)
+    return result, offset

@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from typing import Any, Dict, Optional
 
-from repro.core.service_runtime import ServiceRuntime
+from repro.core.service_runtime import ServiceRuntime, current_session
 from repro.rpc.server import RpcServer
 from repro.sidl.builder import load_service_description
 from repro.sidl.sid import ServiceDescription
@@ -117,7 +117,12 @@ def make_car_rental_sid(
 
 
 class CarRentalImpl:
-    """Server behaviour: quote on SelectCar, confirm on BookCar."""
+    """Server behaviour: quote on SelectCar, confirm on BookCar.
+
+    The selection a BookCar confirms belongs to the binding session that
+    made it, so interleaved sessions on one service each book their own
+    car.  Calls made outside a runtime's INVOKE share one default slot.
+    """
 
     _confirmations = itertools.count(1000)
 
@@ -135,14 +140,17 @@ class CarRentalImpl:
             else {"AUDI": 3, "FIAT-Uno": 5, "VW-Golf": 2}
         )
         self.pickup_station = pickup_station
-        self.last_selection: Optional[Dict[str, Any]] = None
+        self.selections: Dict[Optional[str], Dict[str, Any]] = {}
         self.bookings = 0
 
     def SelectCar(self, selection: Dict[str, Any]) -> Dict[str, Any]:
         model = selection["CarModel"]
         days = max(1, selection.get("Days", 1))
         available = self.fleet.get(model, 0) > 0
-        self.last_selection = dict(selection) if available else None
+        if available:
+            self.selections[current_session()] = dict(selection)
+        else:
+            self.selections.pop(current_session(), None)
         return {
             "available": available,
             "charge": self.charge_per_day * days if available else 0.0,
@@ -150,18 +158,22 @@ class CarRentalImpl:
         }
 
     def BookCar(self) -> Dict[str, Any]:
-        if self.last_selection is None:
+        selection = self.selections.pop(current_session(), None)
+        if selection is None:
             # The FSM normally prevents this; unchecked runtimes surface it
             # as a remote fault instead of corrupting state.
             raise ValueError("no car selected")
-        model = self.last_selection["CarModel"]
+        model = selection["CarModel"]
         self.fleet[model] = max(0, self.fleet.get(model, 0) - 1)
-        self.last_selection = None
         self.bookings += 1
         return {
             "confirmation": next(self._confirmations),
             "pickup_station": self.pickup_station,
         }
+
+    def session_ended(self, session_id: str) -> None:
+        """The runtime's unbind hook: forget the session's selection."""
+        self.selections.pop(session_id, None)
 
 
 def start_car_rental(

@@ -264,6 +264,8 @@ class OfferStore:
         self._by_type: Dict[str, Dict[str, ServiceOffer]] = {}
         self._eq_index: Dict[Tuple[str, str], Dict[Any, Set[str]]] = {}
         self._unindexed: Dict[Tuple[str, str], Set[str]] = {}
+        # Unindexed values per service type (every dynamic marker is one).
+        self._unindexed_per_type: Dict[str, int] = {}
         self._range_index: Dict[Tuple[str, str], Dict[str, _SortedValues]] = {}
         self._range_enabled = range_index
         # Exactly what _index put where, per offer id.  _unindex replays
@@ -513,6 +515,11 @@ class OfferStore:
         """True when some offer's value for ``prop`` could not be indexed."""
         return bool(self._unindexed.get((type_name, prop)))
 
+    def any_unindexed(self, type_names: Iterable[str]) -> bool:
+        """True when some offer of these types holds a value the index
+        could not take; False proves none of them holds a dynamic marker."""
+        return any(name in self._unindexed_per_type for name in type_names)
+
     @property
     def range_index_enabled(self) -> bool:
         return self._range_enabled
@@ -543,6 +550,8 @@ class OfferStore:
                 recorded.append(("eq", key, value))
             else:
                 self._unindexed.setdefault(key, set()).add(offer_id)
+                per_type = self._unindexed_per_type
+                per_type[key[0]] = per_type.get(key[0], 0) + 1
                 recorded.append(("fb", key))
             if self._range_enabled:
                 value_class = _range_class(value)
@@ -576,6 +585,11 @@ class OfferStore:
                 if not per_value:
                     del self._eq_index[key]
             elif kind == "fb":
+                remaining = self._unindexed_per_type[key[0]] - 1
+                if remaining:
+                    self._unindexed_per_type[key[0]] = remaining
+                else:
+                    del self._unindexed_per_type[key[0]]
                 ids = self._unindexed.get(key)
                 if ids is None:
                     continue

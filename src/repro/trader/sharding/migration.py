@@ -43,6 +43,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Union
 
 from repro.context import CallContext
+from repro.persistence import atomic_write
 from repro.telemetry.metrics import METRICS
 from repro.trader.sharding.replication import ShardingError
 
@@ -181,7 +182,7 @@ class FileCheckpoints(MemoryCheckpoints):
 
     def save(self, state: MigrationState) -> None:
         super().save(state)
-        self._path(state.migration_id).write_text(self._states[state.migration_id])
+        atomic_write(self._path(state.migration_id), self._states[state.migration_id])
 
     def discard(self, migration_id: str) -> None:
         super().discard(migration_id)

@@ -458,15 +458,14 @@ class ShardRouter:
             forwarded["preference"] = ""  # shards return raw matches; we order
             forwarded["max_matches"] = 0
         forwarded["hop_limit"] = 0  # shards are partitions, not federation hops
-        wire_lists = self._gather(owners, forwarded, ctx, now)
+        offer_lists = self._gather(owners, forwarded, ctx, now)
         # Merge with dual-ownership awareness: while a type is migrating,
         # both sides may return the same offer; the copy from the type's
         # *effective owner* wins, so a not-yet-replayed RENEW or MODIFY on
         # the other side is never observable — no stale mediation.
         merged: Dict[str, ServiceOffer] = {}
-        for shard_id, wires in zip(owners, wire_lists):
-            for item in wires or ():
-                offer = ServiceOffer.from_wire(item)
+        for shard_id, offers in zip(owners, offer_lists):
+            for offer in offers or ():
                 if (
                     offer.offer_id not in merged
                     or shard_id == self.effective_owner(offer.service_type)
@@ -510,15 +509,17 @@ class ShardRouter:
         forwarded: Dict[str, Any],
         ctx: CallContext,
         now: float,
-    ) -> List[Optional[List[Dict[str, Any]]]]:
+    ) -> List[Optional[List[ServiceOffer]]]:
+        """Each owner's matches, as offers: an in-process shard hands over
+        its own, a remote one decodes its reply (``import_offers``)."""
         METRICS.inc(
             "sharding.fanout", (self.trader_id,), amount=max(len(owners), 1)
         )
         if len(owners) == 1 or self.fanout_workers <= 1:
-            results: List[Optional[List[Dict[str, Any]]]] = []
+            results: List[Optional[List[ServiceOffer]]] = []
             for shard_id in owners:
                 results.append(
-                    self._handles[shard_id].call("import_wire", forwarded, now, ctx)
+                    self._handles[shard_id].call("import_offers", forwarded, now, ctx)
                 )
             return results
         clock = self.clock or (lambda: now)
@@ -527,7 +528,7 @@ class ShardRouter:
             handle = self._handles[shard_id]
 
             def forward(wire, ctx=None, _handle=handle, _now=now):
-                return _handle.call("import_wire", wire, _now, ctx)
+                return _handle.call("import_offers", wire, _now, ctx)
 
             links.append(TraderLink(f"shard:{shard_id}", forward))
         return fan_out(links, forwarded, ctx, clock, workers=self.fanout_workers)

@@ -230,6 +230,14 @@ class RemoteShardBackend:
             self.address, TRADER_PROGRAM, 1, _PROC_TRADER_IMPORT, request_wire
         )
 
+    def import_offers(
+        self,
+        request_wire: Dict[str, Any],
+        now: float = 0.0,
+        ctx: Optional[CallContext] = None,
+    ) -> List[ServiceOffer]:
+        return [ServiceOffer.from_wire(item) for item in self.import_wire(request_wire, now, ctx)]
+
     def list_offers(self) -> List[ServiceOffer]:
         return self._trader.list_offers()
 

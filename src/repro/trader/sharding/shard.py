@@ -15,7 +15,7 @@ from typing import Any, Callable, Dict, List, Optional, Union
 from repro.context import CallContext
 from repro.naming.refs import ServiceRef
 from repro.telemetry.metrics import METRICS
-from repro.trader.errors import DuplicateServiceType, OfferNotFound
+from repro.trader.errors import DuplicateServiceType, OfferNotFound, TraderError
 from repro.trader.offers import ServiceOffer
 from repro.trader.service_types import ServiceType
 from repro.trader.sharding.replication import (
@@ -197,6 +197,19 @@ class TraderShard:
         ctx: Optional[CallContext] = None,
     ) -> List[Dict[str, Any]]:
         return self.trader.import_wire(request_wire, now, ctx)
+
+    def import_offers(
+        self,
+        request_wire: Dict[str, Any],
+        now: float = 0.0,
+        ctx: Optional[CallContext] = None,
+    ) -> List[ServiceOffer]:
+        """:meth:`import_wire` without the wire copies, for an in-process
+        router: the offers are the store's own and must not be mutated."""
+        try:
+            return self.trader.import_(ImportRequest.from_wire(request_wire), now, ctx)
+        except TraderError:
+            return []
 
     def import_(
         self,

@@ -329,7 +329,7 @@ class LocalTrader:
         candidates = self.offers.candidates(
             type_names, constraint.equality_conjuncts, constraint.range_conjuncts
         )
-        matches = self._matches(candidates, constraint, now)
+        matches = self._matches(candidates, constraint, now, type_names)
         # Under the default "first" preference a bounded import keeps the
         # first ``max_matches`` matches in candidate order — local offers
         # precede federated ones and the list is truncated — so it stops
@@ -351,12 +351,16 @@ class LocalTrader:
             ordered = ordered[: request.max_matches]
         return ordered
 
-    def _matches(self, offers, constraint, now) -> Iterator[ServiceOffer]:
+    def _matches(self, offers, constraint, now, type_names) -> Iterator[ServiceOffer]:
         """The live offers among ``offers`` that satisfy ``constraint``, lazily.
 
         Dynamic properties are resolved per offer: importers see the
-        fresh values while the store keeps the markers.
+        fresh values while the store keeps the markers.  When the store's
+        index holds no unindexed value for any of ``type_names`` (the
+        types ``offers`` come from), no offer can carry a marker and the
+        resolution pass is skipped.
         """
+        resolve = self.offers.any_unindexed(type_names)
         for offer in offers:
             if offer.expired(now):
                 # Lazy exclusion: a lapsed lease stops matching before any
@@ -372,10 +376,12 @@ class LocalTrader:
                         mode="lazy",
                     )
                 continue
-            resolved = resolve_properties(offer.properties, self.dynamic_evaluator)
-            if constraint.evaluate(resolved):
-                if resolved is not offer.properties:
-                    offer = replace(offer, properties=resolved)
+            properties = offer.properties
+            if resolve:
+                properties = resolve_properties(properties, self.dynamic_evaluator)
+            if constraint.evaluate(properties):
+                if properties is not offer.properties:
+                    offer = replace(offer, properties=properties)
                 yield offer
 
     def _ordered_fast_path(
@@ -407,7 +413,8 @@ class LocalTrader:
             return None
         METRICS.inc("trader.ordered_scans", (self.trader_id,))
         walk = self.offers.ordered_by(type_names, prop, reverse=preference.kind == "max")
-        return list(islice(self._matches(walk, constraint, now), request.max_matches))
+        matches = self._matches(walk, constraint, now, type_names)
+        return list(islice(matches, request.max_matches))
 
     def _walk_is_cheaper(self, type_names, equalities, wanted: int) -> bool:
         """Ordered walk or equality bucket: which examines fewer offers?

@@ -320,3 +320,57 @@ def test_restored_recipient_mid_copy_keeps_shield_and_mint_floor(tmp_path):
     ]
     assert len(copied) == state.offers_copied, "restart-time sweep ate the copy"
     assert restored.trader.offers.minted("CarRentalService") == 4
+
+
+# -- atomic writes ----------------------------------------------------------------
+
+
+def _tear_at_fsync(monkeypatch):
+    """Make the next fsync a crash in mid-file: the temporary file is cut
+    to half its bytes and the write aborts before any rename."""
+    import os
+
+    import repro.persistence as persistence
+
+    def torn(fd):
+        size = os.fstat(fd).st_size
+        os.ftruncate(fd, size // 2)
+        raise OSError("simulated crash in mid-write")
+
+    monkeypatch.setattr(persistence.os, "fsync", torn)
+
+
+def test_interrupted_snapshot_write_leaves_the_previous_file(tmp_path, monkeypatch):
+    trader = LocalTrader("t")
+    trader.add_type(rental_type())
+    path = tmp_path / "trader.json"
+    save_snapshot(trader_snapshot(trader), path)
+    previous = path.read_bytes()
+    trader.export(
+        "CarRentalService",
+        ServiceRef.create("r", Address("h", 1), 1),
+        {"ChargePerDay": 1.0},
+    )
+    _tear_at_fsync(monkeypatch)
+    with pytest.raises(OSError, match="simulated crash"):
+        save_snapshot(trader_snapshot(trader), path)
+    assert path.read_bytes() == previous
+    assert load_snapshot(path)["kind"] == "trader"
+    assert [p.name for p in tmp_path.iterdir()] == ["trader.json"]  # no temp left
+
+
+def test_interrupted_checkpoint_write_leaves_the_previous_checkpoint(tmp_path, monkeypatch):
+    from repro.trader.sharding import FileCheckpoints
+
+    __, coordinator, __, __, target = _migration_world(tmp_path)
+    state = coordinator.begin("CarRentalService", target)
+    directory = tmp_path / "checkpoints"
+    (path,) = directory.glob("*.migration.json")
+    previous, phase = path.read_bytes(), state.phase
+    _tear_at_fsync(monkeypatch)
+    with pytest.raises(OSError, match="simulated crash"):
+        coordinator.step(state)
+    assert path.read_bytes() == previous
+    reopened = FileCheckpoints(directory)  # parses every checkpoint file
+    assert reopened.load(state.migration_id).phase == phase
+    assert sorted(p.name for p in directory.iterdir()) == [path.name]

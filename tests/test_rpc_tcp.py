@@ -198,3 +198,52 @@ def test_outgoing_connection_evicted_when_peer_hangs_up():
     finally:
         transport.close()
         listener.close()
+
+
+# -- input bounds: the frame-length header --------------------------------------
+
+
+def _announce_oversized_frame(address):
+    """Connect, say hello, then announce a 4 GiB frame; return the socket."""
+    import socket
+    import struct
+
+    sock = socket.create_connection((address.host, address.port), timeout=5)
+    hello = b"1"
+    sock.sendall(struct.pack(">I", len(hello)) + hello + struct.pack(">I", 0xFFFFFFFF))
+    return sock
+
+
+def _assert_hung_up(sock):
+    try:
+        assert sock.recv(1) == b""  # raises a timeout if the peer stays
+    finally:
+        sock.close()
+
+
+def test_frame_bound_is_inclusive():
+    from repro.rpc.transport import MAX_FRAME, frame_too_large
+
+    assert MAX_FRAME == 16 * 1024 * 1024
+    assert not frame_too_large(MAX_FRAME)
+    assert frame_too_large(MAX_FRAME + 1)
+
+
+def test_threaded_transport_rejects_an_oversized_frame(tcp_pair):
+    from repro.telemetry.metrics import METRICS
+
+    server_transport, __ = tcp_pair
+    received = []
+    server_transport.set_receiver(lambda source, payload: received.append(payload))
+    before = METRICS.counter("rpc.transport.frames_rejected")
+    _assert_hung_up(_announce_oversized_frame(server_transport.local_address))
+    assert METRICS.counter("rpc.transport.frames_rejected") == before + 1
+    assert received == []
+
+
+def test_async_transport_rejects_an_oversized_frame(async_echo_server):
+    from repro.telemetry.metrics import METRICS
+
+    before = METRICS.counter("rpc.transport.frames_rejected")
+    _assert_hung_up(_announce_oversized_frame(async_echo_server))
+    assert METRICS.counter("rpc.transport.frames_rejected") == before + 1

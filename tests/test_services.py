@@ -74,6 +74,31 @@ def test_car_rental_full_protocol(generic, make_server):
     assert binding.state() == "INIT"
 
 
+def test_car_rental_interleaved_sessions_each_book_their_own_car(generic, make_server):
+    """A selects, B selects, A books, B books: each BookCar confirms the
+    selection of its own session, not the last one made on the service."""
+    runtime = start_car_rental(make_server())
+    impl = runtime.implementation
+    first, second = generic.bind(runtime.ref), generic.bind(runtime.ref)
+    first.invoke("SelectCar", {"selection": SELECTION})
+    second.invoke("SelectCar", {"selection": dict(SELECTION, CarModel="VW-Golf")})
+    booked_first = first.invoke("BookCar")
+    booked_second = second.invoke("BookCar")
+    assert booked_first.value["confirmation"] != booked_second.value["confirmation"]
+    assert impl.bookings == 2
+    assert impl.fleet == {"AUDI": 2, "FIAT-Uno": 5, "VW-Golf": 1}
+    assert impl.selections == {}
+
+
+def test_car_rental_unbind_forgets_the_session_selection(generic, make_server):
+    runtime = start_car_rental(make_server())
+    binding = generic.bind(runtime.ref)
+    binding.invoke("SelectCar", {"selection": SELECTION})
+    assert len(runtime.implementation.selections) == 1
+    binding.unbind()
+    assert runtime.implementation.selections == {}
+
+
 # -- image archive & converter (§2.3 value-adding) -----------------------------------
 
 

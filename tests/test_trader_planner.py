@@ -21,7 +21,7 @@ from repro.naming.refs import ServiceRef
 from repro.net.endpoints import Address
 from repro.sidl.types import DOUBLE, InterfaceType, LONG, OperationType, STRING
 from repro.telemetry.metrics import METRICS
-from repro.trader import trader as trader_module
+from repro.trader.offers import ServiceOffer
 from repro.trader.constraints import Constraint, _Parser, _tokenize, parse_constraint
 from repro.trader.dynamic import dynamic_property, resolve_properties
 from repro.trader.policies import parse_preference
@@ -267,12 +267,14 @@ def test_bounded_first_import_examines_only_what_it_returns(monkeypatch):
     offer matches here, so it examines exactly five of the thousand."""
     trader = rental_trader()
     examined = []
+    expired = ServiceOffer.expired
 
-    def counting(properties, evaluator):
-        examined.append(properties)
-        return resolve_properties(properties, evaluator)
+    def counting(offer, now):
+        examined.append(offer)
+        return expired(offer, now)
 
-    monkeypatch.setattr(trader_module, "resolve_properties", counting)
+    # Every examined offer passes the lease check first, dynamic or not.
+    monkeypatch.setattr(ServiceOffer, "expired", counting)
     request = ImportRequest("Rental", "Rating >= 1", max_matches=5)
     result = trader.import_(request)
     assert len(examined) == 5
